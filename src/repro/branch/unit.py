@@ -60,6 +60,22 @@ class PenaltyCause(enum.Enum):
     BTB_MISPREDICT = "btb_mispredict"
 
 
+# Module-level aliases: the per-branch paths below construct results and
+# charge penalties without an enum class-attribute lookup each time.
+_CORRECT = FetchOutcome.CORRECT
+_MISFETCH = FetchOutcome.MISFETCH
+_MISPREDICT = FetchOutcome.MISPREDICT
+_NONE = PenaltyCause.NONE
+_BTB_MISFETCH = PenaltyCause.BTB_MISFETCH
+_PHT_MISPREDICT = PenaltyCause.PHT_MISPREDICT
+_BTB_MISPREDICT = PenaltyCause.BTB_MISPREDICT
+_COND_BRANCH = InstrKind.COND_BRANCH
+_JUMP = InstrKind.JUMP
+_CALL = InstrKind.CALL
+_RETURN = InstrKind.RETURN
+_INDIRECT_CALL = InstrKind.INDIRECT_CALL
+
+
 @dataclass(frozen=True, slots=True)
 class PredictionResult:
     """Everything the engine needs to account for one control transfer.
@@ -110,7 +126,19 @@ class BranchStats:
 
 
 class BranchUnit:
-    """Decoupled (or, for ablation, coupled) BTB + PHT front end."""
+    """Decoupled (or, for ablation, coupled) BTB + PHT front end.
+
+    :meth:`predict` is the generic entry point for every control
+    transfer.  For conditional branches it probes the BTB, predicts the
+    direction, applies the decode-time BTB update and hands the outcome
+    to :meth:`classify_conditional`, the one misfetch/mispredict
+    classifier.  The event loop's branch fast path
+    (``FetchEngine._branch_fast``, live decoupled units only) does the
+    first three steps inline and calls the same classifier for every
+    outcome but a correct one.  Resolutions go through
+    :meth:`resolve_due` (a whole due queue per call) or :meth:`resolve`
+    (one branch).
+    """
 
     def __init__(
         self,
@@ -139,6 +167,11 @@ class BranchUnit:
         self.misfetch_penalty_slots = misfetch_penalty_slots
         self.mispredict_penalty_slots = mispredict_penalty_slots
         self.stats = BranchStats()
+        # resolve_due may inline the counter update only when the PHT uses
+        # the base PatternHistoryTable.update (every built-in kind does).
+        self._inline_update = (
+            not coupled and type(pht).update is PatternHistoryTable.update
+        )
 
     # -- direction prediction ------------------------------------------------
 
@@ -169,15 +202,15 @@ class BranchUnit:
         ``static_target`` is the target encoded in the instruction (None
         for returns / indirect calls).
         """
-        if kind is InstrKind.COND_BRANCH:
+        if kind is _COND_BRANCH:
             return self._predict_conditional(
                 pc, static_target, actual_taken, actual_target, fall_through
             )
-        if kind in (InstrKind.JUMP, InstrKind.CALL):
+        if kind == _JUMP or kind == _CALL:
             return self._predict_direct(pc, actual_target, fall_through)
-        if kind is InstrKind.RETURN:
+        if kind is _RETURN:
             return self._predict_return(pc, actual_target, fall_through)
-        if kind is InstrKind.INDIRECT_CALL:
+        if kind is _INDIRECT_CALL:
             return self._predict_indirect(pc, actual_target, fall_through)
         raise SimulationError(f"non-control kind {kind} reached the branch unit")
 
@@ -185,25 +218,24 @@ class BranchUnit:
         self, pht_index: int | None, predicted_taken: bool | None
     ) -> PredictionResult:
         self.stats.correct += 1
+        # Positional in field order: outcome, cause, penalty_slots,
+        # wrong_path_start, wrong_path_delay, wrong_path_slots, pht_index,
+        # predicted_taken (here and in every construction below).
         return PredictionResult(
-            outcome=FetchOutcome.CORRECT,
-            cause=PenaltyCause.NONE,
-            penalty_slots=0,
-            wrong_path_start=None,
-            wrong_path_delay=0,
-            wrong_path_slots=0,
-            pht_index=pht_index,
-            predicted_taken=predicted_taken,
+            _CORRECT, _NONE, 0, None, 0, 0, pht_index, predicted_taken
         )
 
     def _charge(self, cause: PenaltyCause, slots: int) -> None:
-        self.stats.penalty_slots_by_cause[cause.value] += slots
-        if cause is PenaltyCause.BTB_MISFETCH:
-            self.stats.btb_misfetches += 1
-        elif cause is PenaltyCause.PHT_MISPREDICT:
-            self.stats.pht_mispredicts += 1
-        elif cause is PenaltyCause.BTB_MISPREDICT:
-            self.stats.btb_mispredicts += 1
+        stats = self.stats
+        if cause is _BTB_MISFETCH:
+            stats.btb_misfetches += 1
+            stats.penalty_slots_by_cause["btb_misfetch"] += slots
+        elif cause is _PHT_MISPREDICT:
+            stats.pht_mispredicts += 1
+            stats.penalty_slots_by_cause["pht_mispredict"] += slots
+        elif cause is _BTB_MISPREDICT:
+            stats.btb_mispredicts += 1
+            stats.penalty_slots_by_cause["btb_mispredict"] += slots
 
     def _predict_conditional(
         self,
@@ -226,7 +258,30 @@ class BranchUnit:
             # Non-speculative designs (and not-predicted-taken branches)
             # insert once the branch resolves taken.
             self.btb.insert(pc, static_target)
+        return self.classify_conditional(
+            entry, predicted_taken, pht_index, static_target, actual_taken,
+            fall_through,
+        )
 
+    def classify_conditional(
+        self,
+        entry,
+        predicted_taken: bool,
+        pht_index: int | None,
+        static_target: int,
+        actual_taken: bool,
+        fall_through: int,
+    ) -> PredictionResult:
+        """Classify one predicted conditional branch against the truth.
+
+        The single misfetch/mispredict classifier: :meth:`predict` calls
+        it after the BTB probe, the direction prediction and the BTB
+        update, and the engine's branch fast path (which does those three
+        steps inline and accounts the common correct case itself) calls
+        it for every other outcome.  *entry* is the BTB entry the
+        fetch-time lookup found (``None`` on a miss); counts the outcome
+        into :attr:`stats` and returns the full result.
+        """
         if predicted_taken == actual_taken:
             if not predicted_taken:
                 return self._result_correct(pht_index, predicted_taken)
@@ -236,19 +291,14 @@ class BranchUnit:
             # Predicted taken but the target had to be computed at decode:
             # misfetch.  The two pre-decode cycles fetched the fall-through,
             # which is wrong because the branch is taken.
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
+            self._charge(_BTB_MISFETCH, self.misfetch_penalty_slots)
             return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=pht_index,
-                predicted_taken=predicted_taken,
+                _MISFETCH, _BTB_MISFETCH, self.misfetch_penalty_slots,
+                fall_through, 0, self.misfetch_penalty_slots, pht_index,
+                predicted_taken,
             )
         # Direction mispredict (PHT's fault in the decoupled design).
-        self._charge(PenaltyCause.PHT_MISPREDICT, self.mispredict_penalty_slots)
+        self._charge(_PHT_MISPREDICT, self.mispredict_penalty_slots)
         if predicted_taken:
             if entry is not None:
                 # Fetched the taken target immediately; wrong for 4 cycles.
@@ -268,14 +318,8 @@ class BranchUnit:
             delay = 0
             window = self.mispredict_penalty_slots
         return PredictionResult(
-            outcome=FetchOutcome.MISPREDICT,
-            cause=PenaltyCause.PHT_MISPREDICT,
-            penalty_slots=self.mispredict_penalty_slots,
-            wrong_path_start=wrong_start,
-            wrong_path_delay=delay,
-            wrong_path_slots=window,
-            pht_index=pht_index,
-            predicted_taken=predicted_taken,
+            _MISPREDICT, _PHT_MISPREDICT, self.mispredict_penalty_slots,
+            wrong_start, delay, window, pht_index, predicted_taken,
         )
 
     def _predict_direct(
@@ -285,16 +329,10 @@ class BranchUnit:
         entry = self.btb.lookup(pc)
         if entry is None:
             self.btb.insert(pc, actual_target)
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
+            self._charge(_BTB_MISFETCH, self.misfetch_penalty_slots)
             return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=None,
-                predicted_taken=None,
+                _MISFETCH, _BTB_MISFETCH, self.misfetch_penalty_slots,
+                fall_through, 0, self.misfetch_penalty_slots, None, None,
             )
         return self._result_correct(None, None)
 
@@ -310,29 +348,17 @@ class BranchUnit:
             predicted = entry.target if entry is not None else None
         self.btb.insert(pc, actual_target)
         if predicted is None:
-            self._charge(PenaltyCause.BTB_MISFETCH, self.misfetch_penalty_slots)
+            self._charge(_BTB_MISFETCH, self.misfetch_penalty_slots)
             return PredictionResult(
-                outcome=FetchOutcome.MISFETCH,
-                cause=PenaltyCause.BTB_MISFETCH,
-                penalty_slots=self.misfetch_penalty_slots,
-                wrong_path_start=fall_through,
-                wrong_path_delay=0,
-                wrong_path_slots=self.misfetch_penalty_slots,
-                pht_index=None,
-                predicted_taken=None,
+                _MISFETCH, _BTB_MISFETCH, self.misfetch_penalty_slots,
+                fall_through, 0, self.misfetch_penalty_slots, None, None,
             )
         if predicted == actual_target:
             return self._result_correct(None, None)
-        self._charge(PenaltyCause.BTB_MISPREDICT, self.mispredict_penalty_slots)
+        self._charge(_BTB_MISPREDICT, self.mispredict_penalty_slots)
         return PredictionResult(
-            outcome=FetchOutcome.MISPREDICT,
-            cause=PenaltyCause.BTB_MISPREDICT,
-            penalty_slots=self.mispredict_penalty_slots,
-            wrong_path_start=predicted,
-            wrong_path_delay=0,
-            wrong_path_slots=self.mispredict_penalty_slots,
-            pht_index=None,
-            predicted_taken=None,
+            _MISPREDICT, _BTB_MISPREDICT, self.mispredict_penalty_slots,
+            predicted, 0, self.mispredict_penalty_slots, None, None,
         )
 
     def _predict_return(
@@ -372,6 +398,42 @@ class BranchUnit:
         elif pht_index is not None:
             self.pht.update(pht_index, taken)
         self.history.shift_in(taken)
+
+    def resolve_due(self, queue, now: int) -> None:
+        """Resolve every queued branch whose resolve time is ``<= now``.
+
+        *queue* is a deque of ``(resolve_at, pht_index, taken, pc)`` in
+        fetch order; due entries are popped and trained exactly as
+        :meth:`resolve` would, oldest first.  For a decoupled unit whose
+        PHT keeps the base counter update, the counter and history
+        arithmetic runs inline (one call per drain instead of four per
+        branch); any other unit resolves entry by entry.
+        """
+        if not self._inline_update:
+            resolve = self.resolve
+            while queue and queue[0][0] <= now:
+                _, pht_index, taken, pc = queue.popleft()
+                resolve(pht_index, taken, pc=pc)
+            return
+        table = self.pht.table
+        values = table.values
+        max_value = table.max_value
+        history = self.history
+        mask = history.mask
+        value = history.value
+        while queue and queue[0][0] <= now:
+            _, pht_index, taken, _ = queue.popleft()
+            # CounterTable.update and GlobalHistory.shift_in, inlined.
+            counter = values[pht_index]
+            if taken:
+                if counter < max_value:
+                    values[pht_index] = counter + 1
+                value = ((value << 1) | 1) & mask
+            else:
+                if counter > 0:
+                    values[pht_index] = counter - 1
+                value = (value << 1) & mask
+        history.value = value
 
     # -- wrong-path (speculative, read-only) probes ---------------------------
 

@@ -31,9 +31,9 @@ import copy
 from collections import deque
 
 from repro.branch.unit import BranchUnit, FetchOutcome
-from repro.branch.btb import BranchTargetBuffer
+from repro.branch.btb import BranchTargetBuffer, BTBEntry
 from repro.branch.history import GlobalHistory
-from repro.branch.pht import make_pht
+from repro.branch.pht import GsharePHT, make_pht
 from repro.branch.ras import ReturnAddressStack
 from repro.cache.classify import MissClassifier
 from repro.cache.icache import InstructionCache, LineOrigin
@@ -79,12 +79,12 @@ _ORIGIN_RIGHT = LineOrigin.DEMAND_RIGHT
 _ORIGIN_PREFETCH = LineOrigin.PREFETCH
 
 
-def _resolve_noop(
-    pht_index: int | None, taken: bool, pc: int | None = None
-) -> None:
-    """Stand-in for BranchUnit.resolve when the fetch-clock queue must
-    keep gating (branch_full, force_resolve) without training the
+def _drain_untrained(queue: deque, now: int) -> None:
+    """Stand-in for BranchUnit.resolve_due when the fetch-clock queue
+    must keep gating (branch_full, force_resolve) without training the
     predictor — architectural-schedule and replay runs."""
+    while queue and queue[0][0] <= now:
+        queue.popleft()
 
 
 def build_branch_unit(config: SimConfig, stream=None):
@@ -165,10 +165,19 @@ class FetchEngine:
         self._arch_live = (
             config.branch_schedule == "architectural" and stream is None
         )
-        self._timing_resolve = (
-            self.unit.resolve
+        self._timing_drain = (
+            self.unit.resolve_due
             if config.branch_schedule == "timing" and stream is None
-            else _resolve_noop
+            else _drain_untrained
+        )
+        # Branch fast path eligibility: a live, decoupled BranchUnit lets
+        # _run_span predict conditional branches inline (see there).
+        # Replay facades, coupled units and BranchUnit subclasses keep
+        # the generic unit.predict call.  Purely an optimisation —
+        # results are bit-identical either way
+        # (tests/core/test_engine_fast_path.py).
+        self._branch_fast = (
+            type(self.unit) is BranchUnit and not self.unit.coupled
         )
         # Unresolved branches on the architectural clock (arch-live only):
         # same tuple shape as _unresolved.
@@ -303,20 +312,12 @@ class FetchEngine:
         architectural schedule (or replay) training happens elsewhere and
         this only drains the queue that gates fetch.
         """
-        queue = self._unresolved
-        resolve = self._timing_resolve
-        while queue and queue[0][0] <= now:
-            _, pht_index, taken, pc = queue.popleft()
-            resolve(pht_index, taken, pc=pc)
+        self._timing_drain(self._unresolved, now)
 
     def _apply_arch_resolutions(self, now: int) -> None:
         """Train the predictor for every architectural-clock resolution
         whose time has passed (arch-live runs only)."""
-        queue = self._arch_unresolved
-        resolve = self.unit.resolve
-        while queue and queue[0][0] <= now:
-            _, pht_index, taken, pc = queue.popleft()
-            resolve(pht_index, taken, pc=pc)
+        self.unit.resolve_due(self._arch_unresolved, now)
 
     def _depth_gate(self, t: int) -> int:
         """Stall (branch_full) until an unresolved-branch slot is free."""
@@ -817,6 +818,18 @@ class FetchEngine:
         ``self`` and carries across spans; the only span-local state is
         the cached-locals block below (rebound per span, and after a
         warmup reset).  Returns the advanced ``(t, warm_left)``.
+
+        Under the branch fast path (``_branch_fast``: a live, decoupled
+        :class:`BranchUnit`) a conditional terminator is predicted inline
+        — the BTB probe and LRU refresh, the PHT index (gshare arithmetic
+        inline, any other PHT kind through its own ``predict``), and the
+        decode-time BTB update, which refreshes the entry the probe found
+        instead of re-locating it — replicating
+        :meth:`BranchUnit.predict` exactly.  A correct prediction is
+        accounted here with no :class:`PredictionResult` allocated; every
+        other outcome goes to :meth:`BranchUnit.classify_conditional`,
+        the classifier the generic path uses too.  Resolutions drain
+        through :meth:`BranchUnit.resolve_due` in both paths.
         """
         image = self.program.image
         targets = image.targets_list
@@ -826,6 +839,7 @@ class FetchEngine:
         unit = self.unit
         predict = unit.predict
         issue_run = self._issue_run
+        drain = self._timing_drain  # _apply_resolutions, one call shorter
         resolve_slots = self._resolve_slots
         unresolved = self._unresolved
         max_unresolved = self._max_unresolved
@@ -844,6 +858,27 @@ class FetchEngine:
             set_mask = cache.set_mask
             set_shift = cache._set_shift
             pending = self.station._pending  # identity-stable (pending.py)
+        # Locals for the inlined conditional-branch prediction.  The BTB
+        # sets and the PHT counter list are only replaced by an explicit
+        # unit reset, which never happens inside a span.
+        branch_fast = self._branch_fast
+        if branch_fast:
+            branch_stats = unit.stats
+            classify = unit.classify_conditional
+            btb = unit.btb
+            btb_sets = btb._sets
+            btb_set_mask = btb.set_mask
+            btb_tag_shift = btb._tag_shift
+            btb_assoc = btb.assoc
+            btb_counter_init = btb.counter_init
+            history = unit.history
+            spec_btb = unit.speculative_btb_update
+            pht = unit.pht
+            gshare = type(pht) is GsharePHT
+            pht_predict = pht.predict
+            pht_values = pht.table.values
+            pht_threshold = pht.table.threshold
+            pht_mask = pht.index_mask
         # Architectural-clock state (arch-live runs only): tau is the
         # perfect-cache fetch clock; predictor training follows it instead
         # of t, making the outcome stream cache/policy-independent.
@@ -860,6 +895,8 @@ class FetchEngine:
                     penalties = self.penalties
                     if fast_term:
                         stats = cache.stats
+                    if branch_fast:
+                        branch_stats = unit.stats
             counters.blocks += 1
             counters.instructions += length
             if kind == _COND:
@@ -882,7 +919,7 @@ class FetchEngine:
                 # _depth_gate, inlined for the common not-full case.
                 if unresolved:
                     if unresolved[0][0] <= t:
-                        self._apply_resolutions(t)
+                        drain(unresolved, t)
                     if len(unresolved) >= max_unresolved:
                         t = self._depth_gate(t)
                 term_addr = start + (length - 1) * INSTRUCTION_SIZE
@@ -920,7 +957,7 @@ class FetchEngine:
                 term_addr = start + (length - 1) * INSTRUCTION_SIZE
             t_br = t - 1
             if unresolved and unresolved[0][0] <= t_br:
-                self._apply_resolutions(t_br)
+                drain(unresolved, t_br)
             if arch:
                 tau_br = tau - 1
                 if arch_unresolved and arch_unresolved[0][0] <= tau_br:
@@ -929,32 +966,79 @@ class FetchEngine:
             raw_target = targets[ctrl_idx]
             static_target = None if raw_target < 0 else raw_target
             fall = term_addr + INSTRUCTION_SIZE
-            result = predict(
-                term_addr, _KIND_FROM_INT[kind], static_target, taken, next_pc, fall
-            )
-            if kind == _CALL:
-                unit.notify_call(fall)
-            if kind == _COND:
-                unresolved.append(
-                    (t_br + resolve_slots, result.pht_index, taken, term_addr)
+            if kind == _COND and branch_fast and static_target is not None:
+                # BranchUnit._predict_conditional, inlined.
+                branch_stats.conditional += 1
+                word = term_addr // INSTRUCTION_SIZE
+                ways = btb_sets[word & btb_set_mask]
+                tag = word >> btb_tag_shift
+                entry = None
+                for i, way in enumerate(ways):
+                    if way.tag == tag:
+                        entry = way
+                        ways.append(ways.pop(i))  # move to MRU
+                        break
+                if entry is None:
+                    btb.misses += 1
+                else:
+                    btb.hits += 1
+                if gshare:
+                    pht_index = (word ^ history.value) & pht_mask
+                    predicted_taken = pht_values[pht_index] >= pht_threshold
+                else:
+                    predicted_taken, pht_index = pht_predict(
+                        term_addr, history.value
+                    )
+                if taken or (spec_btb and predicted_taken):
+                    # Decode-time BTB update (BranchTargetBuffer.insert).
+                    if entry is not None:
+                        entry.target = static_target
+                    else:
+                        if len(ways) >= btb_assoc:
+                            ways.pop(0)  # evict LRU
+                            btb.evictions += 1
+                        ways.append(
+                            BTBEntry(tag, static_target, btb_counter_init)
+                        )
+                        btb.insertions += 1
+                if predicted_taken == taken and (
+                    entry is not None or not predicted_taken
+                ):
+                    branch_stats.correct += 1
+                    result = None
+                else:
+                    result = classify(
+                        entry, predicted_taken, pht_index, static_target,
+                        taken, fall,
+                    )
+            else:
+                result = predict(
+                    term_addr, _KIND_FROM_INT[kind], static_target, taken,
+                    next_pc, fall,
                 )
+                if kind == _CALL:
+                    unit.notify_call(fall)
+                pht_index = result.pht_index
+                predicted_taken = result.predicted_taken
+            if kind == _COND:
+                unresolved.append((t_br + resolve_slots, pht_index, taken, term_addr))
                 if arch:
                     arch_unresolved.append(
-                        (tau_br + resolve_slots, result.pht_index, taken, term_addr)
+                        (tau_br + resolve_slots, pht_index, taken, term_addr)
                     )
                 if (
                     target_prefetch
                     and static_target is not None
-                    and result.predicted_taken is not None
+                    and predicted_taken is not None
                 ):
                     # Target prefetching: fetch the line of the arm the
                     # prediction did NOT follow (the predicted arm is
                     # being fetched anyway).
-                    alt = fall if result.predicted_taken else static_target
+                    alt = fall if predicted_taken else static_target
                     self.prefetcher.prefetch_target(
                         alt >> self._line_shift, t_br + 1
                     )
-            if result.outcome is _CORRECT:
+            if result is None or result.outcome is _CORRECT:
                 continue
             if arch:
                 tau = tau_br + 1 + result.penalty_slots
@@ -1181,13 +1265,13 @@ class FetchEngine:
         """
         counters = self.counters
         penalties = self.penalties
-        miss_hist = registry.histogram("engine.miss_service_slots")
-        for value in self._miss_durations:
-            miss_hist.observe(value)
+        registry.histogram("engine.miss_service_slots").observe_all(
+            self._miss_durations
+        )
         self._miss_durations.clear()
-        redirect_hist = registry.histogram("engine.redirect_penalty_slots")
-        for value in self._redirect_penalties:
-            redirect_hist.observe(value)
+        registry.histogram("engine.redirect_penalty_slots").observe_all(
+            self._redirect_penalties
+        )
         self._redirect_penalties.clear()
         for name in COMPONENTS:
             registry.inc(f"engine.stall_slots.{name}", getattr(penalties, name))

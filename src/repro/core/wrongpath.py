@@ -8,11 +8,13 @@ machine follows its own (speculative, read-only) prediction.
 :func:`iter_wrong_path_runs` enumerates the straight-line ``(pc, n)``
 segments such a walk touches; :func:`iter_lines_from_runs` splits any
 segment sequence at cache-line boundaries; and
-:func:`iter_wrong_path_lines` composes the two, leaving all timing/stall
-decisions to the engine.  The split keeps the walker purely functional
-and unit-testable, and lets prediction-stream replay
-(:mod:`repro.branch.stream`) record walks once in line-size-independent
-form and re-split them for each swept cache geometry.
+:func:`iter_wrong_path_lines` does both in one generator — the engine's
+per-redirect walk, yielding exactly what composing the two would —
+leaving all timing/stall decisions to the engine.  The split keeps the
+walker purely functional and unit-testable, and lets prediction-stream
+replay (:mod:`repro.branch.stream`) record walks once in
+line-size-independent form and re-split them for each swept cache
+geometry.
 
 Modelling notes (see DESIGN.md §4):
 
@@ -81,27 +83,37 @@ def iter_wrong_path_runs(
         remaining -= take
         if take < run or ctrl >= n_image:
             return
-        # Follow the speculative prediction at the control transfer.
-        kind = kinds[ctrl]
-        ctrl_addr = base + ctrl * INSTRUCTION_SIZE
-        fall = ctrl_addr + INSTRUCTION_SIZE
-        if kind == _COND:
-            if unit.peek_direction(ctrl_addr):
-                pc = targets[ctrl]
-            else:
-                pc = fall
-        elif kind == _JUMP or kind == _CALL:
-            pc = targets[ctrl]
-        elif kind == _RETURN or kind == _ICALL:
-            if kind == _RETURN and unit.ras is not None:
-                predicted = unit.ras.peek()
-            else:
-                predicted = unit.peek_target(ctrl_addr)
-            if predicted is None:
-                predicted = unit.peek_target(ctrl_addr)
-            pc = predicted if predicted is not None else fall
-        else:  # pragma: no cover - images contain only the kinds above
+        pc = _follow(
+            unit, kinds[ctrl], targets[ctrl], base + ctrl * INSTRUCTION_SIZE
+        )
+        if pc is None:  # pragma: no cover - images contain only known kinds
             return
+
+
+def _follow(
+    unit: BranchUnit, kind: int, target: int, ctrl_addr: int
+) -> int | None:
+    """Next wrong-path pc after the control transfer at *ctrl_addr*.
+
+    Follows the speculative (read-only) prediction: the PHT direction for
+    a conditional, the static target for a direct transfer, the RAS or
+    BTB target (else the fall-through) for a dynamic one.  ``None`` for a
+    kind that is not a control transfer.
+    """
+    fall = ctrl_addr + INSTRUCTION_SIZE
+    if kind == _COND:
+        return target if unit.peek_direction(ctrl_addr) else fall
+    if kind == _JUMP or kind == _CALL:
+        return target
+    if kind == _RETURN or kind == _ICALL:
+        if kind == _RETURN and unit.ras is not None:
+            predicted = unit.ras.peek()
+        else:
+            predicted = unit.peek_target(ctrl_addr)
+        if predicted is None:
+            predicted = unit.peek_target(ctrl_addr)
+        return predicted if predicted is not None else fall
+    return None
 
 
 def iter_lines_from_runs(
@@ -170,8 +182,47 @@ def iter_wrong_path_lines(
     instructions, splitting each straight-line run at cache-line
     boundaries.  The caller (engine) decides how many of the yielded
     instructions actually fit in its redirect window.
+
+    One generator doing the work of :func:`iter_wrong_path_runs` fed
+    through :func:`iter_lines_from_runs` (same walk, same split, same
+    yields), without the two intermediate generator frames per chunk.
     """
-    yield from iter_lines_from_runs(
-        iter_wrong_path_runs(image, unit, start_pc, max_instructions),
-        line_size,
-    )
+    if max_instructions <= 0:
+        return
+    base = image.base
+    n_image = image.n_instructions
+    kinds = image.kinds_list
+    targets = image.targets_list
+    next_ctrl = image.next_ctrl_list
+    line_shift = line_size.bit_length() - 1
+    per_line = line_size // INSTRUCTION_SIZE
+
+    pc = start_pc
+    remaining = max_instructions
+    while remaining > 0:
+        offset = pc - base
+        if offset < 0 or offset % INSTRUCTION_SIZE:
+            return
+        idx = offset // INSTRUCTION_SIZE
+        if idx >= n_image:
+            return
+        ctrl = next_ctrl[idx]
+        run = (n_image if ctrl >= n_image else ctrl + 1) - idx
+        take = run if run < remaining else remaining
+        # iter_lines_from_runs' split of the run (base + idx * 4, take).
+        pos = (base + idx * INSTRUCTION_SIZE) // INSTRUCTION_SIZE
+        left = take
+        while left > 0:
+            in_line = per_line - pos % per_line
+            chunk = in_line if in_line < left else left
+            yield ((pos * INSTRUCTION_SIZE) >> line_shift, chunk)
+            pos += chunk
+            left -= chunk
+        remaining -= take
+        if take < run or ctrl >= n_image:
+            return
+        pc = _follow(
+            unit, kinds[ctrl], targets[ctrl], base + ctrl * INSTRUCTION_SIZE
+        )
+        if pc is None:  # pragma: no cover - images contain only known kinds
+            return

@@ -20,6 +20,7 @@ golden metric snapshots.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter as _Tally
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
@@ -89,6 +90,19 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
+
+    def observe_all(self, values: Iterable[int]) -> None:
+        """Record every sample in *values*; the same end state as calling
+        :meth:`observe` on each, at one bucket update per distinct value
+        (the engine's buffered distributions repeat a handful of values)."""
+        for value, n in _Tally(values).items():
+            self.counts[bisect_right(self.bounds, value - 1)] += n
+            self.count += n
+            self.total += value * n
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
 
     def merge(self, other: Histogram) -> None:
         """Fold another histogram (same bounds) into this one."""

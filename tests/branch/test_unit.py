@@ -223,3 +223,242 @@ class TestConfigValidation:
                 misfetch_penalty_slots=16,
                 mispredict_penalty_slots=8,
             )
+
+
+# -- reference model ------------------------------------------------------------
+
+_REF_BTB_ENTRIES = 8
+_REF_BTB_ASSOC = 2
+_REF_PHT_ENTRIES = 16
+_REF_HISTORY_BITS = 4
+_REF_RESOLVE_DELAY = 4
+
+
+class _ReferenceUnit:
+    """An independent, deliberately naive model of the branch unit's
+    documented semantics (2-bit counters, LRU BTB, no RAS)."""
+
+    def __init__(self, pht_kind, coupled, speculative_btb_update):
+        self.pht_kind = pht_kind
+        self.coupled = coupled
+        self.speculative = speculative_btb_update
+        self.n_sets = _REF_BTB_ENTRIES // _REF_BTB_ASSOC
+        # Each set: [tag, target, counter] lists, LRU first.
+        self.sets = [[] for _ in range(self.n_sets)]
+        self.hits = self.misses = self.insertions = self.evictions = 0
+        self.pht = [1] * _REF_PHT_ENTRIES  # weakly not-taken
+        self.history = 0
+        self.stats = {
+            "conditional": 0, "unconditional": 0, "correct": 0,
+            "pht_mispredicts": 0, "btb_misfetches": 0, "btb_mispredicts": 0,
+            "btb_misfetch": 0, "pht_mispredict": 0, "btb_mispredict": 0,
+        }
+
+    def _set_and_tag(self, pc):
+        word = pc // 4
+        return self.sets[word % self.n_sets], word // self.n_sets
+
+    def _lookup(self, pc):
+        ways, tag = self._set_and_tag(pc)
+        for way in ways:
+            if way[0] == tag:
+                ways.remove(way)
+                ways.append(way)
+                self.hits += 1
+                return way
+        self.misses += 1
+        return None
+
+    def _insert(self, pc, target):
+        ways, tag = self._set_and_tag(pc)
+        for way in ways:
+            if way[0] == tag:
+                way[1] = target
+                ways.remove(way)
+                ways.append(way)
+                return
+        if len(ways) == _REF_BTB_ASSOC:
+            del ways[0]
+            self.evictions += 1
+        ways.append([tag, target, 2])  # coupled counter starts weakly taken
+        self.insertions += 1
+
+    def _index(self, pc):
+        mask = _REF_PHT_ENTRIES - 1
+        if self.pht_kind == "bimodal":
+            return (pc // 4) & mask
+        if self.pht_kind == "gag":
+            return self.history & mask
+        return ((pc // 4) ^ self.history) & mask
+
+    def _penalty(self, cause, slots):
+        counter = {
+            "btb_misfetch": "btb_misfetches",
+            "pht_mispredict": "pht_mispredicts",
+            "btb_mispredict": "btb_mispredicts",
+        }[cause]
+        self.stats[counter] += 1
+        self.stats[cause] += slots
+
+    def _misfetch(self, fall, index, predicted):
+        self._penalty("btb_misfetch", 8)
+        return ("misfetch", "btb_misfetch", 8, fall, 0, 8, index, predicted)
+
+    def _correct(self, index, predicted):
+        self.stats["correct"] += 1
+        return ("correct", "none", 0, None, 0, 0, index, predicted)
+
+    def predict(self, pc, kind, static_target, taken, actual_target, fall):
+        if kind is InstrKind.COND_BRANCH:
+            self.stats["conditional"] += 1
+            entry = self._lookup(pc)
+            if self.coupled:
+                index = None
+                predicted = entry is not None and entry[2] >= 2
+            else:
+                index = self._index(pc)
+                predicted = self.pht[index] >= 2
+            if (self.speculative and predicted) or taken:
+                self._insert(pc, static_target)
+            if predicted == taken:
+                if not predicted or entry is not None:
+                    return self._correct(index, predicted)
+                return self._misfetch(fall, index, predicted)
+            self._penalty("pht_mispredict", 16)
+            if not predicted:
+                wrong = (fall, 0, 16)
+            elif entry is not None:
+                wrong = (entry[1], 0, 16)
+            else:
+                wrong = (static_target, 8, 8)
+            return ("mispredict", "pht_mispredict", 16, *wrong, index, predicted)
+        self.stats["unconditional"] += 1
+        entry = self._lookup(pc)
+        if kind in (InstrKind.JUMP, InstrKind.CALL):
+            if entry is None:
+                self._insert(pc, actual_target)
+                return self._misfetch(fall, None, None)
+            return self._correct(None, None)
+        predicted = None if entry is None else entry[1]
+        self._insert(pc, actual_target)
+        if predicted is None:
+            return self._misfetch(fall, None, None)
+        if predicted == actual_target:
+            return self._correct(None, None)
+        self._penalty("btb_mispredict", 16)
+        return ("mispredict", "btb_mispredict", 16, predicted, 0, 16, None, None)
+
+    def resolve(self, index, taken, pc):
+        if self.coupled:
+            ways, tag = self._set_and_tag(pc)
+            for way in ways:
+                if way[0] == tag:
+                    way[2] = min(3, way[2] + 1) if taken else max(0, way[2] - 1)
+        else:
+            self.pht[index] = (
+                min(3, self.pht[index] + 1) if taken else max(0, self.pht[index] - 1)
+            )
+        self.history = ((self.history << 1) | int(taken)) & (
+            (1 << _REF_HISTORY_BITS) - 1
+        )
+
+
+def _random_sites(rng):
+    """Static branch sites: (pc, kind, static target, taken bias)."""
+    kinds = (
+        [InstrKind.COND_BRANCH] * 14
+        + [InstrKind.JUMP, InstrKind.CALL] * 2
+        + [InstrKind.RETURN, InstrKind.INDIRECT_CALL] * 2
+    )
+    pcs = rng.sample(range(0x1000, 0x1400, 4), len(kinds))
+    sites = []
+    for pc, kind in zip(pcs, kinds):
+        static = None
+        if kind in (InstrKind.COND_BRANCH, InstrKind.JUMP, InstrKind.CALL):
+            static = rng.randrange(0x2000, 0x2400, 4)
+        sites.append((pc, kind, static, rng.choice((0.05, 0.5, 0.95))))
+    return sites
+
+
+@pytest.mark.parametrize("speculative", [True, False], ids=["spec", "nonspec"])
+@pytest.mark.parametrize("coupled", [False, True], ids=["decoupled", "coupled"])
+@pytest.mark.parametrize("pht_kind", ["bimodal", "gag", "gshare"])
+def test_unit_matches_reference_model(pht_kind, coupled, speculative):
+    """A seeded random branch stream through BranchUnit.predict and
+    resolve_due matches the reference model field for field."""
+    import random
+    from collections import deque
+
+    from repro.branch import BranchTargetBuffer, GlobalHistory, make_pht
+
+    rng = random.Random(f"{pht_kind}-{coupled}-{speculative}")
+    unit = BranchUnit(
+        btb=BranchTargetBuffer(entries=_REF_BTB_ENTRIES, assoc=_REF_BTB_ASSOC),
+        pht=make_pht(pht_kind, _REF_PHT_ENTRIES),
+        history=GlobalHistory(_REF_HISTORY_BITS),
+        coupled=coupled,
+        speculative_btb_update=speculative,
+    )
+    ref = _ReferenceUnit(pht_kind, coupled, speculative)
+    sites = _random_sites(rng)
+    queue = deque()
+    ref_queue = deque()
+    now = 0
+    for _ in range(4_000):
+        pc, kind, static, bias = rng.choice(sites)
+        fall = pc + 4
+        taken = rng.random() < bias if kind is InstrKind.COND_BRANCH else True
+        if kind is InstrKind.COND_BRANCH:
+            actual = static if taken else fall
+        elif static is not None:
+            actual = static
+        else:
+            actual = rng.choice((0x3000, 0x3100, 0x3200))
+        result = unit.predict(pc, kind, static, taken, actual, fall)
+        expected = ref.predict(pc, kind, static, taken, actual, fall)
+        assert (
+            result.outcome.value,
+            result.cause.value,
+            result.penalty_slots,
+            result.wrong_path_start,
+            result.wrong_path_delay,
+            result.wrong_path_slots,
+            result.pht_index,
+            result.predicted_taken,
+        ) == expected
+        if kind is InstrKind.COND_BRANCH:
+            queue.append((now + _REF_RESOLVE_DELAY, result.pht_index, taken, pc))
+            ref_queue.append((now + _REF_RESOLVE_DELAY, expected[6], taken, pc))
+        now += rng.randrange(3)
+        unit.resolve_due(queue, now)
+        while ref_queue and ref_queue[0][0] <= now:
+            _, index, q_taken, q_pc = ref_queue.popleft()
+            ref.resolve(index, q_taken, q_pc)
+        assert unit.history.value == ref.history
+    unit.resolve_due(queue, now + _REF_RESOLVE_DELAY)
+    for _, index, q_taken, q_pc in ref_queue:
+        ref.resolve(index, q_taken, q_pc)
+    assert not queue
+
+    stats = unit.stats
+    assert {
+        "conditional": stats.conditional,
+        "unconditional": stats.unconditional,
+        "correct": stats.correct,
+        "pht_mispredicts": stats.pht_mispredicts,
+        "btb_misfetches": stats.btb_misfetches,
+        "btb_mispredicts": stats.btb_mispredicts,
+        **stats.penalty_slots_by_cause,
+    } == ref.stats
+    btb = unit.btb
+    assert (btb.hits, btb.misses, btb.insertions, btb.evictions) == (
+        ref.hits, ref.misses, ref.insertions, ref.evictions,
+    )
+    assert [
+        [[e.tag, e.target, e.counter] for e in ways] for ways in btb._sets
+    ] == ref.sets
+    assert unit.pht.table.values == ref.pht
+    assert unit.history.value == ref.history
+    # The stream must have exercised every outcome the configuration has.
+    assert stats.correct and stats.btb_misfetches and stats.pht_mispredicts
+    assert stats.btb_mispredicts and btb.evictions

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.branch import make_paper_branch_unit
-from repro.core.wrongpath import iter_wrong_path_lines
+from repro.core.wrongpath import (
+    iter_lines_from_runs,
+    iter_wrong_path_lines,
+    iter_wrong_path_runs,
+)
 from repro.isa import Instruction, InstrKind
 from repro.program import CodeImage
 
@@ -124,3 +128,35 @@ class TestControlFollowing:
         list(iter_wrong_path_lines(image, unit, BASE, 16, 32))
         assert unit.btb.hits == hits_before
         assert unit.pht.table.values == values_before
+
+
+@pytest.mark.parametrize("use_ras", [False, True], ids=["btb", "ras"])
+def test_fused_walker_matches_composed_reference(use_ras):
+    """iter_wrong_path_lines yields exactly what splitting
+    iter_wrong_path_runs with iter_lines_from_runs yields, from every
+    kind of start pc, with a trained predictor."""
+    import random
+
+    from repro.config import BranchConfig, SimConfig
+    from repro.core.engine import FetchEngine
+    from repro.program.workloads import build_workload
+    from repro.trace.generator import generate_trace
+
+    program = build_workload("gcc")
+    trace = generate_trace(program, n_instructions=6_000, seed=11)
+    engine = FetchEngine(program, SimConfig(branch=BranchConfig(use_ras=use_ras)))
+    engine.run(trace)  # trains the BTB, PHT, history (and RAS)
+    image, unit = program.image, engine.unit
+    rng = random.Random(5)
+    starts = [rng.randrange(image.n_instructions) for _ in range(300)]
+    for idx in starts:
+        pc = image.base + idx * 4
+        budget = rng.choice((0, 1, 8, 16, 40))
+        line_size = rng.choice((16, 32, 64))
+        assert list(
+            iter_wrong_path_lines(image, unit, pc, budget, line_size)
+        ) == list(
+            iter_lines_from_runs(
+                iter_wrong_path_runs(image, unit, pc, budget), line_size
+            )
+        )

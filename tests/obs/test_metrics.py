@@ -49,6 +49,21 @@ class TestHistogram:
         assert h.total == 15
         assert (h.min, h.max) == (1, 5)
 
+    def test_observe_all_matches_observe(self):
+        import random
+
+        rng = random.Random(3)
+        values = [rng.choice((0, 1, 7, 8, 16, 80, 5000)) for _ in range(500)]
+        one, bulk = Histogram("h"), Histogram("h")
+        one.observe(2)
+        bulk.observe(2)
+        for v in values:
+            one.observe(v)
+        bulk.observe_all(values)
+        bulk.observe_all([])
+        assert bulk.as_value() == one.as_value()
+        assert (bulk.min, bulk.max) == (one.min, one.max)
+
     def test_empty_bounds_rejected(self):
         with pytest.raises(ObservabilityError):
             Histogram("h", bounds=())
