@@ -28,7 +28,6 @@ from repro.errors import ProgramError
 from repro.isa import InstrKind
 from repro.program.behaviour import BranchBehaviour, IndirectBehaviour
 from repro.program.cfg import BasicBlock, ControlFlowGraph, Function, Terminator
-from repro.program.image import CodeImage
 from repro.program.layout import (
     DEFAULT_FUNCTION_ALIGN,
     DEFAULT_TEXT_BASE,
@@ -150,10 +149,9 @@ class ProgramBuilder:
             entry=self.entry,
         )
         laid_out = layout_cfg(cfg, base=self.base, function_align=self.function_align)
-        image = CodeImage.from_instructions(laid_out.instructions)
         return Program(
             name=self.name,
-            image=image,
+            image=laid_out.image,
             behaviours=list(self._behaviours),
             entry=laid_out.function_entries[self.entry],
             indirect_targets=dict(laid_out.indirect_targets),

@@ -6,8 +6,10 @@ wrong (mispredicted or misfetched) path — it decodes the instruction there
 in O(1) and can tell how far the straight-line run extends before the next
 control transfer.
 
-Internally the image is a struct-of-arrays (numpy) so the wrong-path walker
-does no per-instruction Python object allocation.
+The image is a struct-of-arrays (numpy), written directly by
+:func:`~repro.program.layout.layout_cfg` and checked once, vectorised, by
+the rules :class:`~repro.isa.Instruction` applies per object, so neither
+building nor wrong-path walking allocates a Python object per instruction.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ import numpy as np
 from repro.errors import DecodeError, ProgramError
 from repro.isa import INSTRUCTION_SIZE, Instruction, InstrKind
 
-_NO_TARGET = -1
-_NO_BEHAVIOUR = -1
+#: Array entries meaning "no static target" / "no behaviour model".
+NO_TARGET = -1
+NO_BEHAVIOUR = -1
+#: The kinds that must carry a target; every other kind must carry none.
+_STATIC_TARGET_KINDS = (InstrKind.COND_BRANCH, InstrKind.JUMP, InstrKind.CALL)
 
 
 class CodeImage:
@@ -40,6 +45,7 @@ class CodeImage:
             raise ProgramError("empty code image")
         if len(targets) != n or len(behaviours) != n:
             raise ProgramError("image arrays must have equal length")
+        self._check_entries(base, np.asarray(kinds), np.asarray(targets))
         self.base = base
         self._kinds = np.ascontiguousarray(kinds, dtype=np.int8)
         self._targets = np.ascontiguousarray(targets, dtype=np.int64)
@@ -53,6 +59,19 @@ class CodeImage:
         self.next_ctrl_list: list[int] = self._next_ctrl.tolist()
 
     @staticmethod
+    def _check_entries(base: int, kinds: np.ndarray, targets: np.ndarray) -> None:
+        """Reject the first entry that would not construct as an Instruction."""
+        static = np.isin(kinds, _STATIC_TARGET_KINDS)
+        bad = (kinds < min(InstrKind)) | (kinds > max(InstrKind))
+        bad |= static != (targets != NO_TARGET)
+        if bad.any():
+            idx = int(np.argmax(bad))
+            raise ProgramError(
+                f"bad instruction at {base + idx * INSTRUCTION_SIZE:#x}: "
+                f"kind {int(kinds[idx])}, target {int(targets[idx])}"
+            )
+
+    @staticmethod
     def _compute_next_control(kinds: np.ndarray) -> np.ndarray:
         """For each index, the index of the next control instruction >= it.
 
@@ -60,14 +79,8 @@ class CodeImage:
         end), meaning "straight line to the end of the image".
         """
         n = len(kinds)
-        next_ctrl = np.empty(n, dtype=np.int64)
-        nxt = n
-        is_ctrl = kinds != int(InstrKind.PLAIN)
-        for i in range(n - 1, -1, -1):
-            if is_ctrl[i]:
-                nxt = i
-            next_ctrl[i] = nxt
-        return next_ctrl
+        controls = np.append(np.flatnonzero(kinds != InstrKind.PLAIN), n)
+        return controls[np.searchsorted(controls, np.arange(n))]
 
     # -- construction -----------------------------------------------------
 
@@ -78,10 +91,6 @@ class CodeImage:
         if not listing:
             raise ProgramError("cannot build an image from no instructions")
         base = listing[0].address
-        n = len(listing)
-        kinds = np.empty(n, dtype=np.int8)
-        targets = np.full(n, _NO_TARGET, dtype=np.int64)
-        behaviours = np.full(n, _NO_BEHAVIOUR, dtype=np.int32)
         for i, instr in enumerate(listing):
             expected = base + i * INSTRUCTION_SIZE
             if instr.address != expected:
@@ -89,12 +98,12 @@ class CodeImage:
                     f"non-contiguous listing: expected {expected:#x}, "
                     f"got {instr.address:#x}"
                 )
-            kinds[i] = int(instr.kind)
-            if instr.target is not None:
-                targets[i] = instr.target
-            if instr.behaviour is not None:
-                behaviours[i] = instr.behaviour
-        return cls(base, kinds, targets, behaviours)
+        rows = [
+            (i.kind, NO_TARGET if i.target is None else i.target,
+             NO_BEHAVIOUR if i.behaviour is None else i.behaviour)
+            for i in listing
+        ]
+        return cls(base, *(np.array(column) for column in zip(*rows)))
 
     # -- geometry ----------------------------------------------------------
 
@@ -143,8 +152,8 @@ class CodeImage:
         return Instruction(
             address=address,
             kind=kind,
-            target=None if target == _NO_TARGET else target,
-            behaviour=None if behaviour == _NO_BEHAVIOUR else behaviour,
+            target=None if target == NO_TARGET else target,
+            behaviour=None if behaviour == NO_BEHAVIOUR else behaviour,
         )
 
     def run_length(self, address: int) -> int:

@@ -4,15 +4,23 @@ Functions are placed in their CFG insertion order, each aligned to a cache
 line (as real linkers do — alignment matters to an I-cache study).  Blocks
 within a function are placed back-to-back in their listed order, so a block
 with no terminator falls through to the next block at the next address.
+
+Lowering writes the :class:`~repro.program.image.CodeImage` arrays
+directly: every slot starts as a PLAIN instruction with no target (which
+is also what alignment padding is, as linkers pad with nops), and only
+the block terminators are filled in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ProgramError
 from repro.isa import INSTRUCTION_SIZE, Instruction, InstrKind, align_up
 from repro.program.cfg import ControlFlowGraph
+from repro.program.image import NO_BEHAVIOUR, NO_TARGET, CodeImage
 
 #: Default base address for program text (matches typical Unix layouts).
 DEFAULT_TEXT_BASE = 0x0001_0000
@@ -26,19 +34,22 @@ class Layout:
     """Result of laying out a CFG.
 
     Attributes:
-        instructions: the flat, address-ordered listing (contiguous; gaps
-            introduced by alignment are padded with PLAIN instructions,
-            just as linkers pad with nops).
+        image: the contiguous code image, starting at the first function.
         function_entries: function name -> entry address.
         block_addresses: (function name, block label) -> block start address.
         indirect_targets: address of each INDIRECT_CALL instruction ->
             tuple of candidate callee entry addresses.
     """
 
-    instructions: tuple[Instruction, ...]
+    image: CodeImage
     function_entries: dict[str, int]
     block_addresses: dict[tuple[str, str], int]
     indirect_targets: dict[int, tuple[int, ...]]
+
+    @property
+    def instructions(self) -> tuple[Instruction, ...]:
+        """The address-ordered listing decoded from the image (diagnostic)."""
+        return tuple(self.image.iter_instructions())
 
 
 def layout_cfg(
@@ -46,7 +57,7 @@ def layout_cfg(
     base: int = DEFAULT_TEXT_BASE,
     function_align: int = DEFAULT_FUNCTION_ALIGN,
 ) -> Layout:
-    """Assign addresses to every block and materialise instructions."""
+    """Assign addresses to every block and lower the CFG to a code image."""
     cfg.validate()
     if base % INSTRUCTION_SIZE:
         raise ProgramError(f"text base {base:#x} is not instruction-aligned")
@@ -54,38 +65,22 @@ def layout_cfg(
     # Pass 1: assign addresses.
     function_entries: dict[str, int] = {}
     block_addresses: dict[tuple[str, str], int] = {}
-    cursor = align_up(base, function_align)
-    pad_spans: list[tuple[int, int]] = []  # (start, n_pad_instructions)
+    start = cursor = align_up(base, function_align)
     for name, function in cfg.functions.items():
-        aligned = align_up(cursor, function_align)
-        if aligned > cursor:
-            pad_spans.append((cursor, (aligned - cursor) // INSTRUCTION_SIZE))
-        cursor = aligned
+        cursor = align_up(cursor, function_align)
         function_entries[name] = cursor
         for block in function.blocks:
             block_addresses[(name, block.label)] = cursor
             cursor += block.n_instructions * INSTRUCTION_SIZE
 
-    # Pass 2: emit instructions with resolved targets.
-    instructions: list[Instruction] = []
+    # Pass 2: fill in the terminators with resolved targets.
+    n = (cursor - start) // INSTRUCTION_SIZE
+    kinds = np.zeros(n, dtype=np.int8)
+    targets = np.full(n, NO_TARGET, dtype=np.int64)
+    behaviours = np.full(n, NO_BEHAVIOUR, dtype=np.int32)
     indirect_targets: dict[int, tuple[int, ...]] = {}
-    pad_iter = iter(pad_spans)
-    next_pad = next(pad_iter, None)
-
-    def emit_padding_before(address: int) -> None:
-        nonlocal next_pad
-        while next_pad is not None and next_pad[0] < address:
-            pad_start, n_pad = next_pad
-            for i in range(n_pad):
-                instructions.append(
-                    Instruction(pad_start + i * INSTRUCTION_SIZE, InstrKind.PLAIN)
-                )
-            next_pad = next(pad_iter, None)
-
     for name, function in cfg.functions.items():
-        entry = function_entries[name]
-        emit_padding_before(entry)
-        addr = entry
+        addr = function_entries[name]
         for block in function.blocks:
             expected = block_addresses[(name, block.label)]
             if addr != expected:
@@ -93,35 +88,27 @@ def layout_cfg(
                     f"layout drift in {name!r}/{block.label!r}: "
                     f"{addr:#x} != {expected:#x}"
                 )
-            for _ in range(block.n_plain):
-                instructions.append(Instruction(addr, InstrKind.PLAIN))
-                addr += INSTRUCTION_SIZE
+            addr += block.n_plain * INSTRUCTION_SIZE
             term = block.terminator
             if term is None:
                 continue
-            if term.kind in (InstrKind.COND_BRANCH, InstrKind.JUMP):
-                target = block_addresses[(name, term.target_label)]
-                instructions.append(
-                    Instruction(addr, term.kind, target=target, behaviour=term.behaviour)
-                )
-            elif term.kind is InstrKind.CALL:
-                target = function_entries[term.callee]
-                instructions.append(Instruction(addr, InstrKind.CALL, target=target))
-            elif term.kind is InstrKind.RETURN:
-                instructions.append(Instruction(addr, InstrKind.RETURN))
-            elif term.kind is InstrKind.INDIRECT_CALL:
-                instructions.append(
-                    Instruction(addr, InstrKind.INDIRECT_CALL, behaviour=term.behaviour)
-                )
+            idx = (addr - start) // INSTRUCTION_SIZE
+            kinds[idx] = kind = term.kind
+            if kind is InstrKind.COND_BRANCH or kind is InstrKind.JUMP:
+                targets[idx] = block_addresses[(name, term.target_label)]
+                if term.behaviour is not None:
+                    behaviours[idx] = term.behaviour
+            elif kind is InstrKind.CALL:
+                targets[idx] = function_entries[term.callee]
+            elif kind is InstrKind.INDIRECT_CALL:
+                behaviours[idx] = term.behaviour
                 indirect_targets[addr] = tuple(
                     function_entries[callee] for callee in term.indirect_callees
                 )
-            else:  # pragma: no cover - Terminator validation forbids this
-                raise ProgramError(f"unexpected terminator kind {term.kind}")
             addr += INSTRUCTION_SIZE
 
     return Layout(
-        instructions=tuple(instructions),
+        image=CodeImage(start, kinds, targets, behaviours),
         function_entries=function_entries,
         block_addresses=block_addresses,
         indirect_targets=indirect_targets,

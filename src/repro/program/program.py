@@ -58,13 +58,12 @@ class Program:
         self._validate_indirect_tables()
 
     def _validate_behaviour_indices(self) -> None:
-        n = len(self.behaviours)
-        for idx in self.image.behaviours_list:
-            if idx >= 0 and idx >= n:
-                raise ProgramError(
-                    f"instruction references behaviour {idx} but only "
-                    f"{n} behaviours are defined"
-                )
+        top, n = max(self.image.behaviours_list), len(self.behaviours)
+        if top >= n:
+            raise ProgramError(
+                f"instruction references behaviour {top} but only "
+                f"{n} behaviours are defined"
+            )
 
     def _validate_indirect_tables(self) -> None:
         for addr, targets in self.indirect_targets.items():

@@ -21,7 +21,6 @@ from collections import Counter
 
 from repro.errors import ProgramError
 from repro.program.cfg import ControlFlowGraph
-from repro.program.image import CodeImage
 from repro.program.layout import layout_cfg
 from repro.program.program import Program
 from repro.trace.event import Trace
@@ -114,10 +113,9 @@ def reorder_program(
         entry=program.cfg.entry,
     )
     laid_out = layout_cfg(reordered_cfg, base=program.image.base)
-    image = CodeImage.from_instructions(laid_out.instructions)
     return Program(
         name=program.name,
-        image=image,
+        image=laid_out.image,
         behaviours=program.behaviours,
         entry=laid_out.function_entries[program.cfg.entry],
         indirect_targets=dict(laid_out.indirect_targets),

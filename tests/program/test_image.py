@@ -1,9 +1,12 @@
-"""Code image: decoding and run-length queries."""
+"""Code image: decoding, run-length queries and the vectorised checks."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DecodeError, ProgramError
-from repro.isa import Instruction, InstrKind
+from repro.isa import INSTRUCTION_SIZE, Instruction, InstrKind
 from repro.program import CodeImage
 
 
@@ -112,3 +115,104 @@ class TestRunLength:
     def test_bad_index(self):
         with pytest.raises(DecodeError):
             build_image().address_of(6)
+
+
+def reference_next_control(kinds):
+    """The straightforward reverse scan the vectorised version replaces."""
+    n = len(kinds)
+    next_ctrl = [n] * n
+    nxt = n
+    for i in range(n - 1, -1, -1):
+        if kinds[i] != InstrKind.PLAIN:
+            nxt = i
+        next_ctrl[i] = nxt
+    return next_ctrl
+
+
+def image_of_kinds(kinds):
+    """An image with the given kinds and a well-formed target for each."""
+    static = (InstrKind.COND_BRANCH, InstrKind.JUMP, InstrKind.CALL)
+    targets = [0x1000 if kind in static else -1 for kind in kinds]
+    return CodeImage(0x1000, np.array(kinds), np.array(targets), np.full(len(kinds), -1))
+
+
+kind_lists = st.lists(st.sampled_from(list(InstrKind)), min_size=1, max_size=80)
+
+
+class TestNextControlScan:
+    @settings(max_examples=200, deadline=None)
+    @given(kinds=kind_lists)
+    def test_matches_reference_loop(self, kinds):
+        image = image_of_kinds(kinds)
+        assert image.next_ctrl_list == reference_next_control(kinds)
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            [InstrKind.PLAIN] * 7,
+            [InstrKind.JUMP, InstrKind.PLAIN, InstrKind.PLAIN],
+            [InstrKind.PLAIN],
+            [InstrKind.RETURN],
+        ],
+        ids=["all-plain", "trailing-plain", "one-plain", "one-control"],
+    )
+    def test_edge_cases(self, kinds):
+        image = image_of_kinds(kinds)
+        assert image.next_ctrl_list == reference_next_control(kinds)
+
+
+def reference_instructions(base, kinds, targets, behaviours):
+    """Each entry decoded as the image does and built as an Instruction,
+    or None if any entry fails to construct."""
+    listing = []
+    for idx, (kind, target, behaviour) in enumerate(zip(kinds, targets, behaviours)):
+        try:
+            listing.append(
+                Instruction(
+                    base + idx * INSTRUCTION_SIZE,
+                    InstrKind(kind),
+                    target=None if target == -1 else target,
+                    behaviour=None if behaviour == -1 else behaviour,
+                )
+            )
+        except ValueError:
+            return None
+    return listing
+
+
+entries = st.lists(
+    st.tuples(
+        st.integers(-2, 7),
+        st.sampled_from([-1, 0, 0x1000, 0x2000]),
+        st.sampled_from([-1, 0, 3]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestEntryCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=entries)
+    def test_accepts_exactly_constructible_arrays(self, rows):
+        base = 0x1000
+        kinds, targets, behaviours = (list(column) for column in zip(*rows))
+        arrays = (np.array(kinds), np.array(targets), np.array(behaviours))
+        expected = reference_instructions(base, kinds, targets, behaviours)
+        if expected is None:
+            with pytest.raises(ProgramError):
+                CodeImage(base, *arrays)
+        else:
+            assert list(CodeImage(base, *arrays).iter_instructions()) == expected
+
+    @pytest.mark.parametrize(
+        "kinds, targets, first_bad",
+        [
+            # RETURN with a target at 0x100c, then a target-less COND_BRANCH.
+            ([0, 2, 0, 4, 1], [-1, 0x1000, -1, 0x1000, -1], "0x100c"),
+            ([0, 3], [-1, -1], "0x1004"),  # CALL without a target
+        ],
+    )
+    def test_error_names_first_bad_address(self, kinds, targets, first_bad):
+        with pytest.raises(ProgramError, match=first_bad):
+            CodeImage(0x1000, np.array(kinds), np.array(targets), np.full(len(kinds), -1))

@@ -1,7 +1,13 @@
 """Deep program validation (call graph + reachability)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import ProgramError
 from repro.program import ProgramBuilder
 from repro.program.behaviour import BiasedBehaviour
@@ -137,3 +143,20 @@ class TestValidateDeep:
 def test_every_shipped_workload_validates_clean(name):
     """All 13 benchmarks must be DAG-called with no dead code."""
     assert_valid_deep(build_workload(name))
+
+
+def test_build_path_does_not_import_networkx():
+    """networkx serves only the deep analyses above, never the build path."""
+    script = (
+        "import sys\n"
+        "import repro.core.runner, repro.experiments.registry\n"
+        "repro.core.runner.SimulationRunner().program('gcc')\n"
+        "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )

@@ -67,6 +67,19 @@ class TestJournal:
         assert journal.load("li", ORACLE, TRACE, WARMUP + 1, 7) is None
         assert journal.load("li", ORACLE, TRACE, WARMUP, 8) is None
 
+    def test_generator_version_bump_misses(self, tmp_path, monkeypatch):
+        import repro.core.checkpoint as checkpoint
+
+        runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
+        result = runner.run("li", ORACLE)
+        journal = CheckpointJournal(tmp_path)
+        journal.store("li", ORACLE, TRACE, WARMUP, 7, result)
+        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is not None
+        monkeypatch.setattr(
+            checkpoint, "GENERATOR_VERSION", checkpoint.GENERATOR_VERSION + 1
+        )
+        assert journal.load("li", ORACLE, TRACE, WARMUP, 7) is None
+
     def test_corruption_is_a_miss(self, tmp_path):
         runner = SimulationRunner(trace_length=TRACE, warmup=WARMUP, seed=7)
         result = runner.run("li", ORACLE)
