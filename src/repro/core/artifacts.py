@@ -42,7 +42,7 @@ from repro.branch.stream import STREAM_FORMAT_VERSION, PredictionStream
 from repro.errors import ExperimentError, TraceError
 from repro.program.program import Program
 from repro.trace.event import Trace
-from repro.trace.generator import GENERATOR_VERSION, generate_trace
+from repro.trace.generator import GENERATOR_VERSION
 from repro.trace.io import load_trace, save_trace
 
 #: On-disk layout version.  Bump when the file formats or the key scheme
@@ -170,26 +170,6 @@ class ArtifactCache:
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    # -- the one-call convenience used by the runners -----------------------
-
-    def get_or_build(
-        self, workload: str, trace_length: int, seed: int
-    ) -> tuple[Program, Trace]:
-        """Cached (program, trace), building + storing on a miss.
-
-        *seed* seeds both the workload build and the trace generation,
-        matching :class:`~repro.core.runner.SimulationRunner`'s use.
-        """
-        cached = self.load(workload, trace_length, seed)
-        if cached is not None:
-            return cached
-        from repro.program.workloads import build_workload
-
-        program = build_workload(workload, seed=seed)
-        trace = generate_trace(program, n_instructions=trace_length, seed=seed)
-        self.store(workload, trace_length, seed, program, trace)
-        return program, trace
 
     # -- prediction streams ---------------------------------------------------
 

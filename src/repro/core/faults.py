@@ -96,6 +96,53 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(exc, (BrokenExecutor, OSError))
 
 
+
+@dataclass(frozen=True, slots=True)
+class RetryPolicy:
+    """How often, and how patiently, a failed unit of work is re-run.
+
+    The one retry policy of the sweep layer: the serial runner (per
+    cell), the parallel runner (per batch), the sweep service (per cell)
+    and the service client (per request) all decide and wait through
+    it.  Attempt *n* (1-based) that fails is followed by a deterministic
+    ``min(backoff_base * 2**(n-1), backoff_cap)`` second pause.
+    """
+
+    #: Re-attempts allowed after the first failure.
+    retries: int = 2
+    backoff_base: float = 0.1
+    backoff_cap: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ExperimentError(f"retries must be >= 0: {self.retries}")
+        if self.backoff_base < 0 or self.backoff_cap < 0:
+            raise ExperimentError("backoff must be >= 0")
+
+    @classmethod
+    def checked(
+        cls,
+        retries: int,
+        backoff_base: float,
+        backoff_cap: float,
+        *,
+        error: type[ReproError],
+    ) -> RetryPolicy:
+        """A validated policy whose rejection raises *error* instead."""
+        try:
+            return cls(retries, backoff_base, backoff_cap)
+        except ExperimentError as exc:
+            raise error(str(exc)) from None
+
+    def delay(self, attempt: int) -> float:
+        """Seconds to wait after failed attempt number *attempt*."""
+        return min(self.backoff_base * 2 ** (attempt - 1), self.backoff_cap)
+
+    def retryable(self, exc: BaseException, attempts: int) -> bool:
+        """Whether *exc*, ending attempt number *attempts*, earns a retry."""
+        return attempts <= self.retries and is_transient(exc)
+
+
 @dataclass(frozen=True, slots=True)
 class FaultSpec:
     """One planned failure: where, when, and how to strike."""

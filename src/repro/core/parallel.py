@@ -3,21 +3,21 @@
 Experiment sweeps are embarrassingly parallel across benchmarks (each
 (program, trace) pair is independent), and the pure-Python engine is
 CPU-bound, so a process pool gives near-linear speedups for the big
-tables.  Jobs are grouped by benchmark so each worker builds a workload
-and generates its trace once, then replays it through all of that
-benchmark's configurations — the same amortisation the in-process
-:class:`~repro.core.runner.SimulationRunner` gets from its caches.
+tables.  Jobs are grouped by benchmark and each batch runs in one
+worker through a :class:`~repro.core.runner.SimulationRunner` — the one
+cell executor — so a worker builds a workload and generates its trace
+once, then replays it through all of that benchmark's configurations,
+exactly as a serial sweep does.
 
 Long sweeps must survive partial failure.  The runner therefore layers
 fault tolerance over the pool:
 
 * **Retry with bounded deterministic exponential backoff** — *transient*
   failures (``BrokenProcessPool``, OS-level worker death, watchdog
-  timeouts, injected transient faults) requeue the failed batch up to
-  ``retries`` times, sleeping ``min(backoff_base * 2**(attempt-1),
-  backoff_cap)`` between attempts.  Library errors (:class:`ReproError`)
-  and unknown exceptions are *deterministic* — retrying cannot help, so
-  they fail fast (or are skipped, below).
+  timeouts, injected transient faults) requeue the failed batch under
+  the runner's :class:`~repro.core.faults.RetryPolicy`.  Library errors
+  (:class:`ReproError`) and unknown exceptions are *deterministic* —
+  retrying cannot help, so they fail fast (or are skipped, below).
 * **Watchdog timeouts** — with ``job_timeout`` set, a batch still
   running when the deadline passes is killed (the whole pool is torn
   down, since a pool cannot kill one worker) and requeued against its
@@ -30,8 +30,9 @@ fault tolerance over the pool:
   become :class:`MissingResult` placeholders instead of aborting the
   sweep.
 * **Checkpoint/resume** — with ``checkpoint_dir`` set, every completed
-  ``(benchmark, config)`` cell is journalled; a restarted sweep reuses
-  journalled cells bit-identically (see :mod:`repro.core.checkpoint`).
+  ``(benchmark, config)`` cell lands in a
+  :class:`~repro.core.store.ResultStore`; a restarted sweep reuses stored
+  cells bit-identically.
 
 Retries, timeouts, skips, pool rebuilds, and checkpoint activity are
 published as ``sweep.*`` / ``checkpoint.*`` counters in :attr:`metrics`.
@@ -54,14 +55,18 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
-from repro.core.checkpoint import CheckpointJournal
-from repro.core.engine import simulate
-from repro.core.faults import is_transient
+from repro.core.faults import RetryPolicy
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
-from repro.core.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
+from repro.core.runner import (
+    DEFAULT_TRACE_LENGTH,
+    SimulationRunner,
+    check_runner_args,
+    effective_config,
+)
+from repro.core.store import ResultStore, cell_digest
 from repro.errors import ExperimentError, JobTimeoutError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import Observer
@@ -86,107 +91,29 @@ def _run_benchmark_jobs(args) -> _WorkerReturn:
     *args* is ``(name, configs, trace_length, warmup, seed, collect,
     cache_dir, replay, fault_plan)``; the trailing fault plan may be
     ``None`` (production) or a :class:`~repro.core.faults.FaultPlan`
-    (chaos testing), which is consulted at every phase boundary.
+    (chaos testing).  The batch runs through a :class:`SimulationRunner`
+    without a retry budget (the caller owns retries, the watchdog and
+    the result store), so each cell is prepared, fault-injected and
+    simulated exactly as in a serial sweep.
 
     Prediction streams cross the process boundary as *cache keys*, never
-    as pickled arrays: with ``replay="auto"`` and a cache configured, the
-    worker memory-maps the stream's ``.npy`` files from the shared
-    artifact cache (zero-copy transport) and builds + stores the stream
-    itself on a miss.
+    as pickled arrays: with a cache configured the runner memory-maps a
+    stream's ``.npy`` files from the shared artifact cache (zero-copy
+    transport) and builds + stores the stream itself on a miss.
     """
     (
         name, configs, trace_length, warmup, seed, collect, cache_dir,
         replay, plan,
     ) = args
-    from repro.branch.stream import build_stream, replay_eligible, stream_digest
-    from repro.core.artifacts import ArtifactCache
-    from repro.core.faults import corrupt_entry
-    from repro.program.workloads import build_workload
-    from repro.trace.generator import generate_trace
-
     observer = Observer(profiler=PhaseProfiler()) if collect else None
-    profiler = observer.profiler if observer is not None else PhaseProfiler()
-    # Mirror SimulationRunner exactly: the runner seed perturbs both the
-    # structure and the trace, so serial and parallel sweeps agree; the
-    # shared on-disk artifact cache (atomic writes) lets every worker of
-    # every sweep skip the build/generate phases after the first process.
-    artifacts = ArtifactCache(cache_dir)
-    pair = None
-    if artifacts.enabled:
-        if plan is not None:
-            spec = plan.fire("cache_load", name)
-            if spec is not None and spec.kind == "corrupt":
-                corrupt_entry(artifacts.entry_dir(name, trace_length, seed))
-        with profiler.phase("artifact_cache"):
-            pair = artifacts.load(name, trace_length, seed)
-    if pair is not None:
-        program, trace = pair
-    else:
-        if plan is not None:
-            plan.fire("build", name)
-        with profiler.phase("build_program"):
-            program = build_workload(name, seed=seed)
-        if plan is not None:
-            plan.fire("generate", name)
-        with profiler.phase("generate_trace"):
-            trace = generate_trace(program, trace_length, seed=seed)
-        if artifacts.enabled:
-            if plan is not None:
-                plan.fire("cache_store", name)
-            artifacts.store(name, trace_length, seed, program, trace)
-    # Prediction streams, memoized per branch-config digest: every
-    # replay-eligible configuration in this batch that shares a digest
-    # shares one stream (mmapped from the cache when present, built and
-    # persisted otherwise) — the counters mirror the serial runner's.
-    streams: dict[str, object] = {}
-
-    def _stream_for(config):
-        if replay == "off" or not replay_eligible(config):
-            return None
-        digest = stream_digest(config)
-        if digest in streams:
-            return streams[digest]
-        stream = None
-        if artifacts.enabled:
-            with profiler.phase("stream_cache"):
-                stream = artifacts.load_stream(
-                    name, trace_length, seed, digest, mmap=True
-                )
-            if stream is not None and observer is not None:
-                observer.registry.inc("stream.cache_hits")
-        if stream is None:
-            with profiler.phase("build_stream"):
-                stream = build_stream(program, trace, config)
-            if observer is not None:
-                observer.registry.inc("stream.builds")
-            if artifacts.enabled:
-                artifacts.store_stream(name, trace_length, seed, stream)
-        streams[digest] = stream
-        return stream
-
-    if plan is not None:
-        plan.fire("simulate", name)
-    results = []
-    for config in configs:
-        stream = _stream_for(config)
-        if stream is not None and observer is not None:
-            observer.registry.inc("stream.replays")
-        with profiler.phase("simulate"):
-            results.append(
-                simulate(
-                    program, trace, config, warmup=warmup,
-                    observer=observer, stream=stream,
-                )
-            )
-    if observer is not None:
-        if plan is not None and plan.fired_soft:
-            observer.registry.inc("faults.injected", plan.fired_soft)
-        if artifacts.store_failures:
-            observer.registry.inc(
-                "artifacts.store_failures", artifacts.store_failures
-            )
-        return results, observer.registry.as_dict(), profiler.summary()
-    return results, None, None
+    runner = SimulationRunner(
+        trace_length, seed, warmup, observer, cache_dir,
+        replay=replay, fault_plan=plan, retries=0,
+    )
+    results = [runner.run(name, config) for config in configs]
+    if observer is None:
+        return results, None, None
+    return results, observer.registry.as_dict(), observer.profiler.summary()
 
 
 @dataclass
@@ -229,7 +156,7 @@ class ParallelRunner:
     ``job_timeout`` seconds of watchdog per pooled round,
     ``on_error="skip"`` to degrade failed cells to
     :class:`MissingResult` (recorded in :attr:`failures`), and
-    ``checkpoint_dir`` for crash-resumable journalling.  ``fault_plan``
+    ``checkpoint_dir`` for a crash-resumable result store.  ``fault_plan``
     injects deterministic failures for chaos testing (see
     :mod:`repro.core.faults`).
     """
@@ -252,45 +179,20 @@ class ParallelRunner:
         replay: str = "auto",
         engine: str = "auto",
     ) -> None:
-        if trace_length < 1:
-            raise ExperimentError(f"trace_length must be >= 1: {trace_length}")
-        if warmup is None:
-            warmup = min(DEFAULT_WARMUP, trace_length // 4)
-        if not 0 <= warmup < trace_length:
-            raise ExperimentError(
-                f"warmup {warmup} must lie in [0, trace_length={trace_length})"
-            )
+        self.warmup = check_runner_args(
+            trace_length, warmup, job_timeout, on_error, replay, engine
+        )
         if max_workers is not None and max_workers < 1:
             raise ExperimentError(f"max_workers must be >= 1: {max_workers}")
-        if retries < 0:
-            raise ExperimentError(f"retries must be >= 0: {retries}")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ExperimentError("backoff must be >= 0")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ExperimentError(f"job_timeout must be > 0: {job_timeout}")
-        if on_error not in ("raise", "skip"):
-            raise ExperimentError(
-                f"on_error must be 'raise' or 'skip': {on_error!r}"
-            )
-        if replay not in ("auto", "off"):
-            raise ExperimentError(
-                f"replay must be 'auto' or 'off': {replay!r}"
-            )
-        if engine not in ("auto", "event", "vector"):
-            raise ExperimentError(
-                f"engine must be 'auto', 'event' or 'vector': {engine!r}"
-            )
         self.trace_length = trace_length
         self.seed = seed
-        self.warmup = warmup
         self.max_workers = max_workers
         self.collect_metrics = collect_metrics
         #: Shared persistent artifact cache directory handed to every
         #: worker (``None`` disables caching).
         self.cache_dir = cache_dir
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        #: Transient-failure retry budget and backoff per batch.
+        self.retry = RetryPolicy(retries, backoff_base, backoff_cap)
         self.job_timeout = job_timeout
         self.on_error = on_error
         self.checkpoint_dir = checkpoint_dir
@@ -314,20 +216,6 @@ class ParallelRunner:
         #: (non-empty only under ``on_error="skip"``).
         self.failures: list[SweepFailure] = []
 
-    def _effective_config(self, config: SimConfig) -> SimConfig:
-        """*config* with the runner's engine-backend override applied."""
-        if self.engine == "auto" or config.engine_backend == self.engine:
-            return config
-        if self.engine == "vector" and (
-            config.policy_schedule != "static"
-            or config.adaptive_interval is not None
-        ):
-            # Mirrors SimulationRunner._effective_config: vector cannot
-            # honour per-interval schedules, so adaptive cells keep their
-            # own backend instead of building an invalid SimConfig.
-            return config
-        return replace(config, engine_backend=self.engine)
-
     # -- fault-tolerant execution -------------------------------------------
 
     def run_jobs(
@@ -347,17 +235,16 @@ class ParallelRunner:
         self.failures = []
         if not jobs:
             return []
-        journal = CheckpointJournal(self.checkpoint_dir)
+        store = ResultStore(self.checkpoint_dir)
         results: list[SimulationResult | None] = [None] * len(jobs)
-        # Satisfy journalled cells first (checkpoint/resume), then group
-        # the remainder by benchmark, remembering original positions.
+        # Satisfy stored cells first (checkpoint/resume), then group the
+        # remainder by benchmark, remembering original positions.
         grouped: dict[str, _Batch] = {}
         for position, (name, config) in enumerate(jobs):
-            config = self._effective_config(config)
-            if journal.enabled:
-                hit = journal.load(
-                    name, config, self.trace_length, self.warmup, self.seed
-                )
+            config = effective_config(self.engine, config)
+            if store.enabled:
+                cell = self._cell(name, config)
+                hit = store.load(cell_digest(*cell), *cell)
                 if hit is not None:
                     results[position] = hit
                     self.metrics.inc("checkpoint.hits")
@@ -369,9 +256,9 @@ class ParallelRunner:
         batches = list(grouped.values())
         if batches:
             if self.max_workers == 1 or len(batches) == 1:
-                self._run_in_process(batches, results, journal)
+                self._run_in_process(batches, results, store)
             else:
-                self._run_pooled(batches, results, journal)
+                self._run_pooled(batches, results, store)
         missing = [
             i for i, r in enumerate(results) if r is None
         ]
@@ -383,7 +270,7 @@ class ParallelRunner:
         self,
         batches: Sequence[_Batch],
         results: list,
-        journal: CheckpointJournal,
+        store: ResultStore,
     ) -> None:
         """Single-process path (``max_workers=1`` or one batch).
 
@@ -400,13 +287,13 @@ class ParallelRunner:
             except Exception as exc:
                 self._register_failure(batch, exc, queue, results)
                 continue
-            self._complete_batch(batch, ret, results, journal)
+            self._complete_batch(batch, ret, results, store)
 
     def _run_pooled(
         self,
         batches: Sequence[_Batch],
         results: list,
-        journal: CheckpointJournal,
+        store: ResultStore,
     ) -> None:
         """Pool path: submit rounds, watchdog each round, rebuild on damage."""
         queue: deque[_Batch] = deque(batches)
@@ -428,7 +315,7 @@ class ParallelRunner:
                     [future for _, future in futures],
                     timeout=self.job_timeout,
                     return_when=FIRST_EXCEPTION
-                    if self.on_error == "raise" and self.retries == 0
+                    if self.on_error == "raise" and self.retry.retries == 0
                     else "ALL_COMPLETED",
                 )
                 # Process finished batches first: a fail-fast raise must
@@ -444,7 +331,7 @@ class ParallelRunner:
                         rebuild = rebuild or isinstance(exc, BrokenExecutor)
                         self._register_failure(batch, exc, queue, results)
                         continue
-                    self._complete_batch(batch, ret, results, journal)
+                    self._complete_batch(batch, ret, results, store)
                 hung: list[_Batch] = []
                 for batch, future in futures:
                     if future in done:
@@ -483,6 +370,10 @@ class ParallelRunner:
 
     # -- shared bookkeeping --------------------------------------------------
 
+    def _cell(self, name: str, config: SimConfig) -> tuple:
+        """The result-store identity of one cell of this runner."""
+        return (name, config, self.trace_length, self.warmup, self.seed)
+
     def _pause_before_retry(self, batch: _Batch) -> None:
         if batch.next_delay > 0:
             _sleep(batch.next_delay)
@@ -497,24 +388,15 @@ class ParallelRunner:
     ) -> None:
         """Retry, skip, or raise for one failed batch attempt."""
         batch.attempts += 1
-        transient = is_transient(exc)
-        if transient and batch.attempts <= self.retries:
-            batch.next_delay = min(
-                self.backoff_base * (2 ** (batch.attempts - 1)),
-                self.backoff_cap,
-            )
+        if self.retry.retryable(exc, batch.attempts):
+            batch.next_delay = self.retry.delay(batch.attempts)
             self.metrics.inc("sweep.retries")
             queue.append(batch)
             return
         if self.on_error == "skip":
             self.failures.append(
-                SweepFailure(
-                    benchmark=batch.name,
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=batch.attempts,
-                    transient=transient,
-                    cells=len(batch.entries),
+                SweepFailure.from_exception(
+                    batch.name, exc, batch.attempts, cells=len(batch.entries)
                 )
             )
             self.metrics.inc("sweep.skipped_cells", len(batch.entries))
@@ -532,9 +414,9 @@ class ParallelRunner:
         batch: _Batch,
         ret: _WorkerReturn,
         results: list,
-        journal: CheckpointJournal,
+        store: ResultStore,
     ) -> None:
-        """Scatter one finished batch into the result list (+ journal)."""
+        """Scatter one finished batch into the result list (+ store)."""
         batch_results, registry_dict, profile_summary = ret
         # strict=: a lost or duplicated worker result must fail loudly
         # here, not surface later as a None result or dropped configs.
@@ -548,12 +430,11 @@ class ParallelRunner:
             batch.entries, batch_results, strict=True
         ):
             results[position] = result
-            if journal.enabled:
-                journal.store(
-                    batch.name, config, self.trace_length, self.warmup,
-                    self.seed, result,
-                )
-                self.metrics.inc("checkpoint.stores")
+            if store.enabled:
+                cell = self._cell(batch.name, config)
+                store.store(cell_digest(*cell), *cell, result)
+                if store.enabled:
+                    self.metrics.inc("checkpoint.stores")
         if registry_dict is not None:
             self.metrics.merge(MetricsRegistry.from_dict(registry_dict))
         if profile_summary is not None:

@@ -23,6 +23,7 @@ from repro.branch.unit import BranchStats
 from repro.cache.classify import MissClassification
 from repro.cache.icache import CacheStats
 from repro.config import FetchPolicy, SimConfig
+from repro.core.faults import is_transient
 from repro.errors import SimulationError
 
 #: Penalty components, in the stacking order of the paper's figures
@@ -338,6 +339,20 @@ class SweepFailure:
     transient: bool
     #: How many (benchmark, config) cells this failure covers.
     cells: int = 1
+
+    @classmethod
+    def from_exception(
+        cls, benchmark: str, exc: BaseException, attempts: int, cells: int = 1
+    ) -> SweepFailure:
+        """The failure record of *exc*, classified by the taxonomy."""
+        return cls(
+            benchmark=benchmark,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=attempts,
+            transient=is_transient(exc),
+            cells=cells,
+        )
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready form for the CLI failure report."""

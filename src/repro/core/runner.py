@@ -5,15 +5,16 @@ program and generating its trace dominates setup cost, so the runner memo-
 izes both per ``(workload, n_instructions, seed)`` and replays the cached
 trace through fresh engines.
 
-The runner also carries the serial half of the fault-tolerant sweep
-layer (the parallel half lives in :mod:`repro.core.parallel`): per-cell
-retry with bounded deterministic exponential backoff, a signal-based
+:meth:`SimulationRunner.run` is the one cell executor: the parallel
+runner's pool workers (:mod:`repro.core.parallel`) run it too.  It
+carries the serial half of the fault-tolerant sweep layer: per-cell
+retry under a :class:`~repro.core.faults.RetryPolicy`, a signal-based
 watchdog (``job_timeout``), graceful degradation (``on_error="skip"``
 turns failed cells into :class:`MissingResult` placeholders recorded in
 :attr:`failures`), checkpoint/resume through a
-:class:`~repro.core.checkpoint.CheckpointJournal`, and deterministic
-fault injection for chaos testing (see :mod:`repro.core.faults`).
-Incidents publish ``sweep.*`` / ``checkpoint.*`` counters and
+:class:`~repro.core.store.ResultStore`, and deterministic fault
+injection for chaos testing (see :mod:`repro.core.faults`).  Incidents
+publish ``sweep.*`` / ``checkpoint.*`` counters and
 :class:`~repro.obs.events.SweepIncident` events through the observer.
 """
 
@@ -32,10 +33,10 @@ from repro.branch.stream import (
 )
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
 from repro.core.artifacts import ArtifactCache
-from repro.core.checkpoint import CheckpointJournal
 from repro.core.engine import simulate
-from repro.core.faults import FaultPlan, corrupt_entry, is_transient
+from repro.core.faults import FaultPlan, RetryPolicy, corrupt_entry
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
+from repro.core.store import ResultStore, cell_digest
 from repro.errors import ExperimentError, JobTimeoutError
 from repro.obs.events import StreamBuild, SweepIncident
 from repro.obs.observer import Observer
@@ -61,6 +62,56 @@ DEFAULT_TRACE_LENGTH = 200_000
 #: Default measurement warmup: simulated but not measured, so compulsory
 #: misses and predictor training do not pollute steady-state metrics.
 DEFAULT_WARMUP = 50_000
+
+
+def check_runner_args(
+    trace_length: int,
+    warmup: int | None,
+    job_timeout: float | None = None,
+    on_error: str = "raise",
+    replay: str = "auto",
+    engine: str = "auto",
+) -> int:
+    """Validate the arguments every runner shares; returns the warmup.
+
+    ``warmup=None`` resolves to ``min(DEFAULT_WARMUP, trace_length // 4)``.
+    """
+    if trace_length < 1:
+        raise ExperimentError(f"trace_length must be >= 1: {trace_length}")
+    if warmup is None:
+        warmup = min(DEFAULT_WARMUP, trace_length // 4)
+    if not 0 <= warmup < trace_length:
+        raise ExperimentError(
+            f"warmup {warmup} must lie in [0, trace_length={trace_length})"
+        )
+    if job_timeout is not None and job_timeout <= 0:
+        raise ExperimentError(f"job_timeout must be > 0: {job_timeout}")
+    if on_error not in ("raise", "skip"):
+        raise ExperimentError(
+            f"on_error must be 'raise' or 'skip': {on_error!r}"
+        )
+    if replay not in ("auto", "off"):
+        raise ExperimentError(f"replay must be 'auto' or 'off': {replay!r}")
+    if engine not in ("auto", "event", "vector"):
+        raise ExperimentError(
+            f"engine must be 'auto', 'event' or 'vector': {engine!r}"
+        )
+    return warmup
+
+
+def effective_config(engine: str, config: SimConfig) -> SimConfig:
+    """*config* with a runner's engine-backend override applied."""
+    if engine == "auto" or config.engine_backend == engine:
+        return config
+    if engine == "vector" and (
+        config.policy_schedule != "static"
+        or config.adaptive_interval is not None
+    ):
+        # SimConfig rejects vector + per-interval scheduling outright;
+        # a sweep-wide --engine vector request leaves adaptive cells
+        # on the event loop instead of invalidating their configs.
+        return config
+    return replace(config, engine_backend=engine)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,55 +142,28 @@ class SimulationRunner:
         replay: str = "auto",
         engine: str = "auto",
     ) -> None:
-        if trace_length < 1:
-            raise ExperimentError(f"trace_length must be >= 1: {trace_length}")
-        if warmup is None:
-            warmup = min(DEFAULT_WARMUP, trace_length // 4)
-        if not 0 <= warmup < trace_length:
-            raise ExperimentError(
-                f"warmup {warmup} must lie in [0, trace_length={trace_length})"
-            )
-        if retries < 0:
-            raise ExperimentError(f"retries must be >= 0: {retries}")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ExperimentError("backoff must be >= 0")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ExperimentError(f"job_timeout must be > 0: {job_timeout}")
-        if on_error not in ("raise", "skip"):
-            raise ExperimentError(
-                f"on_error must be 'raise' or 'skip': {on_error!r}"
-            )
-        if replay not in ("auto", "off"):
-            raise ExperimentError(
-                f"replay must be 'auto' or 'off': {replay!r}"
-            )
-        if engine not in ("auto", "event", "vector"):
-            raise ExperimentError(
-                f"engine must be 'auto', 'event' or 'vector': {engine!r}"
-            )
+        self.warmup = check_runner_args(
+            trace_length, warmup, job_timeout, on_error, replay, engine
+        )
         self.trace_length = trace_length
         self.seed = seed
-        self.warmup = warmup
         #: Optional observability bundle; shared by every simulation this
         #: runner performs (metrics accumulate across runs).
         self.observer = observer
         #: Optional persistent artifact cache shared across processes
         #: (``None`` disables it; see ``repro.core.artifacts``).
         self.artifacts = ArtifactCache(cache_dir)
-        #: Transient-failure retry budget per cell, with deterministic
-        #: exponential backoff ``min(base * 2**(n-1), cap)`` seconds.
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
+        #: Transient-failure retry budget and backoff per cell.
+        self.retry = RetryPolicy(retries, backoff_base, backoff_cap)
         #: Per-cell watchdog (seconds); enforced via ``SIGALRM`` where
         #: available (POSIX main thread), otherwise ignored.
         self.job_timeout = job_timeout
         #: ``"raise"`` aborts on a failed cell; ``"skip"`` records it in
         #: :attr:`failures` and returns a :class:`MissingResult`.
         self.on_error = on_error
-        #: Crash-resumable journal of completed cells (no-op when
-        #: ``checkpoint_dir`` is ``None``; see ``repro.core.checkpoint``).
-        self.checkpoint = CheckpointJournal(checkpoint_dir)
+        #: Crash-resumable store of completed cells (no-op when
+        #: ``checkpoint_dir`` is ``None``; see ``repro.core.store``).
+        self.store = ResultStore(checkpoint_dir)
         #: Deterministic fault-injection plan (chaos testing only).
         self.fault_plan = fault_plan
         #: Prediction-stream replay: ``"auto"`` replays a recorded stream
@@ -280,30 +304,24 @@ class SimulationRunner:
                 )
             if self.artifacts.enabled:
                 self._fire("cache_store", name)
-                before = self.artifacts.store_failures
                 self.artifacts.store(
                     name, self.trace_length, self.seed, program, self._traces[key]
                 )
-                if self.artifacts.store_failures > before:
-                    self._incident(
-                        "cache_store_failure", name,
-                        detail="artifact cache disabled for this run",
-                    )
+                self._check_cache_store(name)
         return self._traces[key]
 
-    def _effective_config(self, config: SimConfig) -> SimConfig:
-        """*config* with the runner's engine-backend override applied."""
-        if self.engine == "auto" or config.engine_backend == self.engine:
-            return config
-        if self.engine == "vector" and (
-            config.policy_schedule != "static"
-            or config.adaptive_interval is not None
-        ):
-            # SimConfig rejects vector + per-interval scheduling outright;
-            # a sweep-wide --engine vector request leaves adaptive cells
-            # on the event loop instead of invalidating their configs.
-            return config
-        return replace(config, engine_backend=self.engine)
+    def _check_cache_store(self, name: str) -> None:
+        """Report the store that just disabled the artifact cache, if any.
+
+        Called right after a store into an enabled cache; the first
+        failed store disables the cache, so "disabled now" means "that
+        store failed".
+        """
+        if not self.artifacts.enabled:
+            self._incident(
+                "cache_store_failure", name,
+                detail="artifact cache disabled for this run",
+            )
 
     def prepared(self, name: str) -> WorkloadRun:
         """Program and trace for *name*, building them if needed."""
@@ -315,10 +333,11 @@ class SimulationRunner:
     def _stream_for(self, name: str, config: SimConfig) -> PredictionStream | None:
         """The prediction stream for one replay-eligible cell, or ``None``.
 
-        Resolution order: in-memory memo, artifact cache (counter
-        ``stream.cache_hits``), live build (counter ``stream.builds``,
-        :class:`~repro.obs.events.StreamBuild` event) — built streams are
-        persisted so the next process loads instead of rebuilding.
+        Resolution order: in-memory memo, artifact cache (memory-mapped,
+        counter ``stream.cache_hits``), live build (counter
+        ``stream.builds``, :class:`~repro.obs.events.StreamBuild` event)
+        — built streams are persisted so the next process loads instead
+        of rebuilding.
         Returns ``None`` when replay is off or the config is not
         replay-eligible (timing schedule with a real cache).
         """
@@ -333,7 +352,7 @@ class SimulationRunner:
         if self.artifacts.enabled:
             with self._phase("stream_cache"):
                 stream = self.artifacts.load_stream(
-                    name, self.trace_length, self.seed, digest
+                    name, self.trace_length, self.seed, digest, mmap=True
                 )
             if stream is not None and self.observer is not None:
                 self.observer.registry.inc("stream.cache_hits")
@@ -348,6 +367,7 @@ class SimulationRunner:
                 self.artifacts.store_stream(
                     name, self.trace_length, self.seed, stream
                 )
+                self._check_cache_store(name)
         if self.observer is not None and self.observer.events_enabled:
             self.observer.sink.emit(
                 StreamBuild(
@@ -366,22 +386,23 @@ class SimulationRunner:
     def run(self, name: str, config: SimConfig) -> SimulationResult:
         """Simulate benchmark *name* under *config* (with warmup).
 
-        The fault-tolerant cell executor: a journalled result satisfies
-        the cell outright (checkpoint/resume); otherwise the cell runs
-        under the watchdog with up to ``retries`` transient re-attempts,
-        and a final failure either raises (``on_error="raise"``) or
-        degrades to a :class:`MissingResult` recorded in
-        :attr:`failures` (``on_error="skip"``).
+        The fault-tolerant cell executor: a stored result satisfies the
+        cell outright (checkpoint/resume); otherwise the cell runs under
+        the watchdog and the :class:`~repro.core.faults.RetryPolicy`, and
+        a final failure either raises (``on_error="raise"``) or degrades
+        to a :class:`MissingResult` recorded in :attr:`failures`
+        (``on_error="skip"``).
 
         Faults fire at phase boundaries only (never mid-simulation), so
         a retried attempt re-publishes nothing twice and recovered runs
         stay bit-identical to undisturbed ones.
         """
-        config = self._effective_config(config)
-        if self.checkpoint.enabled:
-            hit = self.checkpoint.load(
-                name, config, self.trace_length, self.warmup, self.seed
-            )
+        config = effective_config(self.engine, config)
+        cell = (name, config, self.trace_length, self.warmup, self.seed)
+        digest = None
+        if self.store.enabled:
+            digest = cell_digest(*cell)
+            hit = self.store.load(digest, *cell)
             if hit is not None:
                 self._incident("checkpoint_hit", name)
                 return hit
@@ -406,46 +427,27 @@ class SimulationRunner:
                 break
             except Exception as exc:
                 attempts += 1
-                transient = is_transient(exc)
-                if transient and attempts <= self.retries:
+                detail = f"{type(exc).__name__}: {exc}"
+                if self.retry.retryable(exc, attempts):
                     if isinstance(exc, JobTimeoutError):
                         self._incident(
                             "timeout", name, detail=str(exc), attempt=attempts
                         )
-                    delay = min(
-                        self.backoff_base * (2 ** (attempts - 1)),
-                        self.backoff_cap,
-                    )
-                    self._incident(
-                        "retry", name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                        attempt=attempts,
-                    )
+                    self._incident("retry", name, detail=detail, attempt=attempts)
+                    delay = self.retry.delay(attempts)
                     if delay > 0:
                         time.sleep(delay)
                     continue
                 if self.on_error == "skip":
                     self.failures.append(
-                        SweepFailure(
-                            benchmark=name,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                            attempts=attempts,
-                            transient=transient,
-                        )
+                        SweepFailure.from_exception(name, exc, attempts)
                     )
-                    self._incident(
-                        "skip", name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                        attempt=attempts,
-                    )
+                    self._incident("skip", name, detail=detail, attempt=attempts)
                     return MissingResult(program=name, config=config)
                 raise
-        if self.checkpoint.enabled:
-            self.checkpoint.store(
-                name, config, self.trace_length, self.warmup, self.seed, result
-            )
-            if self.observer is not None:
+        if digest is not None:
+            self.store.store(digest, *cell, result)
+            if self.store.enabled and self.observer is not None:
                 self.observer.registry.inc("checkpoint.stores")
         return result
 

@@ -41,10 +41,6 @@ class ObservabilityError(ReproError):
     """A metric, event sink, or profiler was used inconsistently."""
 
 
-class CheckpointError(ReproError):
-    """A sweep checkpoint journal was misconfigured or misused."""
-
-
 class ServiceError(ReproError):
     """A sweep-service request was malformed, rejected, or failed.
 

@@ -170,9 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         default=None,
         metavar="DIR",
-        help="journal each completed (benchmark, config) result under DIR; "
-        "re-running with the same DIR resumes, replaying finished cells "
-        "from the journal instead of simulating them again",
+        help="keep each completed (benchmark, config) result in a result "
+        "store at DIR; re-running with the same DIR resumes, serving "
+        "finished cells from the store instead of simulating them again",
     )
     fault.add_argument(
         "--inject-faults",

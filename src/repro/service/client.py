@@ -25,8 +25,9 @@ import socket
 import time
 
 from repro.config import ALL_POLICIES, FetchPolicy, SimConfig
+from repro.core.faults import RetryPolicy
 from repro.core.results import MissingResult, SimulationResult, SweepFailure
-from repro.core.runner import DEFAULT_TRACE_LENGTH, DEFAULT_WARMUP
+from repro.core.runner import DEFAULT_TRACE_LENGTH, check_runner_args
 from repro.errors import ExperimentError, ServiceError
 from repro.service.protocol import (
     DEFAULT_CLIENT,
@@ -55,12 +56,10 @@ class ServiceClient:
         backoff_cap: float = 2.0,
         timeout: float | None = 600.0,
     ) -> None:
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0: {retries}")
+        self.retry = RetryPolicy.checked(
+            retries, backoff_base, backoff_cap, error=ServiceError
+        )
         self.address = address
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.timeout = timeout
         self._family, self._target = _parse_address(address)
         #: Transport-level retries performed so far (for tests/tools).
@@ -118,21 +117,21 @@ class ServiceClient:
             try:
                 status, payload = self._once(method, path, body)
             except (ConnectionError, socket.timeout, OSError, ValueError) as exc:
-                if attempt > self.retries:
+                if attempt > self.retry.retries:
                     raise ServiceError(
                         f"service at {self.address} unreachable after "
                         f"{attempt} attempts: {type(exc).__name__}: {exc}"
                     ) from exc
                 self._pause(attempt)
                 continue
-            if status in RETRYABLE_STATUSES and attempt <= self.retries:
+            if status in RETRYABLE_STATUSES and attempt <= self.retry.retries:
                 self._pause(attempt)
                 continue
             return status, payload
 
     def _pause(self, attempt: int) -> None:
         self.transport_retries += 1
-        _sleep(min(self.backoff_base * (2 ** (attempt - 1)), self.backoff_cap))
+        _sleep(self.retry.delay(attempt))
 
     # -- API calls ------------------------------------------------------------
 
@@ -218,18 +217,10 @@ class RemoteRunner:
         priority: int = 0,
         client_id: str = DEFAULT_CLIENT,
     ) -> None:
-        if trace_length < 1:
-            raise ExperimentError(f"trace_length must be >= 1: {trace_length}")
-        if warmup is None:
-            warmup = min(DEFAULT_WARMUP, trace_length // 4)
-        if not 0 <= warmup < trace_length:
-            raise ExperimentError(
-                f"warmup {warmup} must lie in [0, trace_length={trace_length})"
-            )
+        self.warmup = check_runner_args(trace_length, warmup, on_error=on_error)
         self.client = client
         self.trace_length = trace_length
         self.seed = seed
-        self.warmup = warmup
         self.on_error = on_error
         self.priority = priority
         self.client_id = client_id

@@ -5,9 +5,9 @@ JSON layer carries everything a human or a load balancer might care
 about (client id, priority, counts, failure reports); the simulation
 payloads — ``(benchmark, SimConfig)`` cells and
 :class:`~repro.core.results.SimulationResult` objects — are pickled and
-base64-wrapped inside the envelope, the same transport convention the
-checkpoint journal and result store already use on disk (frozen
-dataclasses with enums and nested tuples are not JSON-native).
+base64-wrapped inside the envelope, the same pickling the result store
+already uses on disk (frozen dataclasses with enums and nested tuples
+are not JSON-native).
 
 Malformed payloads raise :class:`~repro.errors.ServiceError`
 (deterministic under the failure taxonomy: a bad request reproduces

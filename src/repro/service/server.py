@@ -2,7 +2,7 @@
 
 One :class:`SweepService` owns four pieces of shared state:
 
-* a content-addressed :class:`~repro.service.store.ResultStore` — every
+* a content-addressed :class:`~repro.core.store.ResultStore` — every
   finished cell is persisted *before* its response is sent, so a result,
   once computed, is never computed again (across clients, across
   requests, across server restarts);
@@ -19,8 +19,8 @@ One :class:`SweepService` owns four pieces of shared state:
 Crash containment is first-class, reusing the PR 3 failure taxonomy
 (:func:`~repro.core.faults.is_transient`):
 
-* transient cell failures retry with deterministic exponential backoff,
-  deterministic ones fail fast;
+* transient cell failures retry under the sweep layer's
+  :class:`~repro.core.faults.RetryPolicy`, deterministic ones fail fast;
 * a watchdog (``job_timeout``) kills and rebuilds the pool around hung
   cells;
 * admission is bounded (``queue_limit``) with 429-style rejection;
@@ -51,9 +51,10 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.faults import FaultPlan, is_transient
+from repro.core.faults import FaultPlan, RetryPolicy
 from repro.core.parallel import ParallelRunner, _run_benchmark_jobs
 from repro.core.results import MissingResult, SweepFailure
+from repro.core.store import ResultStore, cell_digest
 from repro.errors import InjectedFault, JobTimeoutError, ServiceError
 from repro.obs.events import EventSink, NullSink, ServiceIncident
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
@@ -65,7 +66,6 @@ from repro.service.protocol import (
     error_body,
 )
 from repro.service.recovery import RequestJournal
-from repro.service.store import ResultStore, cell_digest
 
 #: Client identity stamped on journal-replayed work in incident events.
 RECOVERY_CLIENT = "__recovery__"
@@ -147,10 +147,9 @@ class SweepService:
     ) -> None:
         if queue_limit < 1:
             raise ServiceError(f"queue_limit must be >= 1: {queue_limit}")
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0: {retries}")
-        if backoff_base < 0 or backoff_cap < 0:
-            raise ServiceError("backoff must be >= 0")
+        self.retry = RetryPolicy.checked(
+            retries, backoff_base, backoff_cap, error=ServiceError
+        )
         if job_timeout is not None and job_timeout <= 0:
             raise ServiceError(f"job_timeout must be > 0: {job_timeout}")
         if replay not in ("auto", "off"):
@@ -170,9 +169,6 @@ class SweepService:
         if self.max_workers < 1:
             raise ServiceError(f"max_workers must be >= 1: {self.max_workers}")
         self.queue_limit = queue_limit
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
         self.job_timeout = job_timeout
         self.replay = replay
         self.registry = MetricsRegistry()
@@ -436,14 +432,14 @@ class SweepService:
                     f"cell {job.benchmark!r} exceeded "
                     f"job_timeout={self.job_timeout}s and was killed"
                 )
-                if job.attempts <= self.retries:
+                if self.retry.retryable(exc, job.attempts):
                     await self._backoff(job)
                     continue
                 raise exc from None
             except Exception as exc:
                 if isinstance(exc, BrokenExecutor):
                     await self._rebuild_pool(generation)
-                if is_transient(exc) and job.attempts <= self.retries:
+                if self.retry.retryable(exc, job.attempts):
                     self._incident(
                         "retry", job.client, benchmark=job.benchmark,
                         detail=type(exc).__name__, attempt=job.attempts,
@@ -466,9 +462,7 @@ class SweepService:
 
     async def _backoff(self, job: _CellJob) -> None:
         self.registry.inc("service.retries")
-        await _sleep(
-            min(self.backoff_base * (2 ** (job.attempts - 1)), self.backoff_cap)
-        )
+        await _sleep(self.retry.delay(job.attempts))
 
     def _corrupt_store_entry(self, digest: str) -> None:
         if not self.store.enabled:
@@ -525,13 +519,8 @@ class SweepService:
                 results.append(await entry.future)
             except Exception as exc:
                 failures.append(
-                    SweepFailure(
-                        benchmark=entry.benchmark,
-                        error_type=type(exc).__name__,
-                        message=str(exc),
-                        attempts=getattr(exc, "attempts", 1),
-                        transient=is_transient(exc),
-                        cells=1,
+                    SweepFailure.from_exception(
+                        entry.benchmark, exc, getattr(exc, "attempts", 1)
                     )
                 )
                 results.append(

@@ -10,11 +10,20 @@ from repro.core.artifacts import ArtifactCache
 from repro.core.parallel import ParallelRunner
 from repro.core.runner import SimulationRunner
 from repro.errors import ExperimentError
-from repro.trace.generator import GENERATOR_VERSION
+from repro.program.workloads import build_workload
+from repro.trace.generator import GENERATOR_VERSION, generate_trace
 
 TRACE = 8_000
 WARMUP = 1_000
 SEED = 7
+
+
+def _build_and_store(cache):
+    """Build li's program and trace the way the runner does, and store them."""
+    program = build_workload("li", seed=SEED)
+    trace = generate_trace(program, TRACE, seed=SEED)
+    cache.store("li", TRACE, SEED, program, trace)
+    return program, trace
 
 
 class TestKeying:
@@ -41,10 +50,10 @@ class TestKeying:
 
 
 class TestRoundTrip:
-    def test_get_or_build_then_load(self, tmp_path):
+    def test_store_then_load(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         assert cache.load("li", TRACE, SEED) is None
-        program, trace = cache.get_or_build("li", TRACE, SEED)
+        program, trace = _build_and_store(cache)
         cached = cache.load("li", TRACE, SEED)
         assert cached is not None
         cached_program, cached_trace = cached
@@ -56,8 +65,8 @@ class TestRoundTrip:
         from repro.core.engine import simulate
 
         cache = ArtifactCache(tmp_path)
-        program, trace = cache.get_or_build("li", TRACE, SEED)
-        warm_program, warm_trace = cache.get_or_build("li", TRACE, SEED)
+        program, trace = _build_and_store(cache)
+        warm_program, warm_trace = cache.load("li", TRACE, SEED)
         config = SimConfig(policy=FetchPolicy.RESUME, prefetch=True)
         assert simulate(warm_program, warm_trace, config, warmup=WARMUP) == (
             simulate(program, trace, config, warmup=WARMUP)
@@ -68,7 +77,7 @@ class TestCorruptionIsAMiss:
     @pytest.fixture
     def populated(self, tmp_path):
         cache = ArtifactCache(tmp_path)
-        cache.get_or_build("li", TRACE, SEED)
+        _build_and_store(cache)
         return cache, cache.entry_dir("li", TRACE, SEED)
 
     def test_truncated_trace(self, populated):
@@ -76,8 +85,8 @@ class TestCorruptionIsAMiss:
         payload = (entry / "trace.npz").read_bytes()
         (entry / "trace.npz").write_bytes(payload[: len(payload) // 2])
         assert cache.load("li", TRACE, SEED) is None
-        # ... and get_or_build transparently repairs the entry.
-        program, trace = cache.get_or_build("li", TRACE, SEED)
+        # ... and storing again atomically repairs the entry.
+        _build_and_store(cache)
         assert cache.load("li", TRACE, SEED) is not None
 
     def test_garbage_program_pickle(self, populated):

@@ -7,13 +7,16 @@ import pytest
 from repro.core.faults import (
     FaultPlan,
     FaultSpec,
+    RetryPolicy,
     corrupt_entry,
     is_transient,
 )
+from repro.core.results import SweepFailure
 from repro.errors import (
     ExperimentError,
     InjectedFault,
     JobTimeoutError,
+    ServiceError,
 )
 
 
@@ -191,3 +194,64 @@ class TestTransientClassification:
         # Library errors and unknown exceptions reproduce on retry.
         assert not is_transient(ExperimentError("bad config"))
         assert not is_transient(ValueError("bug"))
+
+
+class TestRetryPolicy:
+    def test_delay_sequence_doubles_up_to_the_cap(self):
+        policy = RetryPolicy(retries=5, backoff_base=0.25, backoff_cap=1.5)
+        assert [policy.delay(n) for n in range(1, 6)] == [
+            0.25, 0.5, 1.0, 1.5, 1.5,
+        ]
+        assert RetryPolicy(backoff_base=0.0).delay(3) == 0.0
+
+    def test_transient_errors_retry_deterministic_ones_do_not(self):
+        policy = RetryPolicy(retries=3)
+        for exc in (
+            InjectedFault("flaky"),
+            OSError("disk hiccup"),
+            JobTimeoutError("hung"),
+        ):
+            assert policy.retryable(exc, 1), exc
+        for exc in (
+            InjectedFault("bug", transient=False),
+            ExperimentError("misconfigured"),
+            ValueError("unknown"),
+        ):
+            assert not policy.retryable(exc, 1), exc
+
+    def test_budget_exhaustion(self):
+        policy = RetryPolicy(retries=2)
+        exc = InjectedFault("flaky")
+        assert [policy.retryable(exc, n) for n in (1, 2, 3)] == [
+            True, True, False,
+        ]
+        assert not RetryPolicy(retries=0).retryable(exc, 1)
+
+    def test_validation_error_types(self):
+        for kwargs in (
+            {"retries": -1},
+            {"backoff_base": -0.1},
+            {"backoff_cap": -1.0},
+        ):
+            with pytest.raises(ExperimentError):
+                RetryPolicy(**kwargs)
+            with pytest.raises(ServiceError):
+                RetryPolicy.checked(
+                    **{"retries": 1, "backoff_base": 0.1, "backoff_cap": 1.0,
+                       **kwargs},
+                    error=ServiceError,
+                )
+
+
+class TestSweepFailureFromException:
+    def test_classifies_by_the_taxonomy(self):
+        failure = SweepFailure.from_exception(
+            "li", InjectedFault("boom"), attempts=3, cells=2
+        )
+        assert failure == SweepFailure(
+            benchmark="li", error_type="InjectedFault", message="boom",
+            attempts=3, transient=True, cells=2,
+        )
+        assert not SweepFailure.from_exception(
+            "li", ExperimentError("bad"), attempts=1
+        ).transient

@@ -1,7 +1,7 @@
 """ResultStore: content addressing, corruption tolerance, pruning.
 
-The corruption-tolerance contract (same family as ``ArtifactCache`` and
-``CheckpointJournal``): *any* damaged entry — truncated, garbled, wrong
+The corruption-tolerance contract (same family as ``ArtifactCache``):
+*any* damaged entry — truncated, garbled, wrong
 version, wrong identity — is a miss that re-simulates, never an error,
 and the re-store atomically overwrites the damage.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.config import FetchPolicy, SimConfig
 from repro.core.runner import SimulationRunner
 from repro.errors import ServiceError
-from repro.service.store import RESULT_STORE_VERSION, ResultStore, cell_digest
+from repro.core.store import RESULT_STORE_VERSION, ResultStore, cell_digest
 
 from tests.service.conftest import SEED, TRACE, WARMUP
 

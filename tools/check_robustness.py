@@ -5,8 +5,12 @@ crash, hard process exit, delay, artifact-cache corruption) and asserts
 that
 
 * the sweep completes despite the faults (retries + pool rebuilds),
-* every result is bit-identical to a fault-free serial run, and
-* the recovery machinery actually engaged (faults fired, retries spent).
+* every result is bit-identical to a fault-free serial run,
+* the recovery machinery actually engaged (faults fired, retries spent),
+  and
+* a resumed sweep — the same jobs on a fresh runner over the faulted
+  sweep's ``checkpoint_dir`` — is served wholly from the result store
+  (``checkpoint.hits`` equals the job count), still bit-identically.
 
 Usage::
 
@@ -83,38 +87,54 @@ def main(argv=None) -> int:
             trace_length=trace_length, warmup=warmup, seed=SEED,
             max_workers=2, retries=3, backoff_base=0.0,
             cache_dir=os.path.join(scratch, "cache"), fault_plan=plan,
+            checkpoint_dir=os.path.join(scratch, "ckpt"),
         )
         results = runner.run_jobs(_jobs())
         fired = plan.fired_total()
         retries = runner.metrics.value("sweep.retries")
         rebuilds = runner.metrics.value("sweep.pool_rebuilds")
+        resume = ParallelRunner(
+            trace_length=trace_length, warmup=warmup, seed=SEED,
+            max_workers=2, checkpoint_dir=os.path.join(scratch, "ckpt"),
+        )
+        resumed = resume.run_jobs(_jobs())
+        hits = resume.metrics.value("checkpoint.hits")
 
     print(
         f"faulted sweep: {len(results)} cells | {fired} faults fired | "
         f"{retries} retries | {rebuilds} pool rebuild(s)"
     )
+    print(f"resumed sweep: {len(resumed)} cells | {hits} checkpoint hits")
     if fired < 3:
         failures.append(
             f"only {fired} faults fired; the barrage did not engage"
         )
     if retries < 1:
         failures.append("no retries were spent; recovery path never ran")
-    for index, (mine, theirs) in enumerate(zip(results, reference)):
-        if (
-            mine.penalties.as_dict() != theirs.penalties.as_dict()
-            or mine.total_ispi != theirs.total_ispi
-            or mine.counters.instructions != theirs.counters.instructions
-        ):
-            failures.append(
-                f"cell {index} ({theirs.program}) diverged from the "
-                f"fault-free serial reference"
-            )
+    if hits != len(_jobs()):
+        failures.append(
+            f"resume hit the store for {hits} of {len(_jobs())} cells"
+        )
+    for label, swept in (("faulted", results), ("resumed", resumed)):
+        for index, (mine, theirs) in enumerate(zip(swept, reference)):
+            if (
+                mine.penalties.as_dict() != theirs.penalties.as_dict()
+                or mine.total_ispi != theirs.total_ispi
+                or mine.counters.instructions != theirs.counters.instructions
+            ):
+                failures.append(
+                    f"{label} cell {index} ({theirs.program}) diverged from "
+                    f"the fault-free serial reference"
+                )
 
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("robustness check passed: faulted sweep is bit-identical")
+    print(
+        "robustness check passed: faulted and resumed sweeps are "
+        "bit-identical"
+    )
     return 0
 
 
